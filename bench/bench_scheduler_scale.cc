@@ -1,19 +1,20 @@
 /**
  * @file
  * Million-session scheduler scaling bench: the lock-free ring front
- * (sim/shard_worker.hh) against the legacy dense scheduler
- * (sim/oram_scheduler.hh) on dispatch-bound workloads, plus the
+ * (sim/shard_worker.hh) on dispatch-bound workloads, plus the
  * million-open-session smoke the descriptor design exists for.
  *
  * Four sections, every one also asserted under --check:
  *
- *  1. DISPATCH THROUGHPUT — S sessions, M = 16 shards, open-loop
- *     backlog. The legacy scheduler's serve is an O(S) scan over the
- *     per-session FIFO array; the ring scheduler's activation list is
- *     O(1) under backlog. At S in the thousands the ring engine must
- *     dispatch >= 10x the legacy transactions/second — an algorithmic
- *     ratio (same simulated work on both sides), so the gate is
- *     host-independent.
+ *  1. DISPATCH SCALING — M = 16 shards, open-loop backlog, the same
+ *     total transactions spread over 16 sessions and over S sessions
+ *     (S in the thousands). The activation list is O(1) per dispatch
+ *     under backlog, so the median host ns/txn at S sessions must stay
+ *     within kMaxScalingFactor of the median at 16 sessions; a scan
+ *     over the sessions (O(S) per dispatch) would blow far past it.
+ *     Both sides do the same simulated work on the same host, so the
+ *     ratio gate is host-independent; runs are interleaved to cancel
+ *     host drift.
  *  2. WORKER SWEEP — the same point at 1, 4 and min(16, hw) worker
  *     threads. Every worker count must produce a bit-identical
  *     per-shard summary CSV (the determinism contract); wall-clock
@@ -33,6 +34,7 @@
  *   bench_scheduler_scale [--quick] [--json <path>] [--check]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -47,7 +49,6 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/shard_worker.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/rate_enforcer.hh"
@@ -59,6 +60,12 @@ namespace {
 constexpr Cycles kRate = 1000;
 constexpr std::uint64_t kRouteSeed = 7;
 constexpr std::uint32_t kShards = 16;
+/** Baseline session count of the dispatch-scaling ratio. */
+constexpr std::size_t kBaseSessions = 16;
+/** Max median ns/txn at S sessions over the median at kBaseSessions. */
+constexpr double kMaxScalingFactor = 2.0;
+/** Interleaved repetitions per side of the scaling ratio. */
+constexpr int kScalingReps = 9;
 
 /** The single public rate/epoch configuration (static rate: the
  *  dispatch order cannot move the learner, so every engine, thread
@@ -117,45 +124,10 @@ struct EnginePoint
 };
 
 /**
- * The ONE dispatch workload both engines run: S sessions each queue
- * per-session transactions with arrivals at cycle k — the full
- * backlog the activation list is O(1) under and the dense scan is
- * O(S) under.
+ * The ONE dispatch workload: S sessions each queue per-session
+ * transactions with arrivals at cycle k — the full backlog the
+ * activation list is O(1) under.
  */
-EnginePoint
-runLegacy(std::size_t sessions, std::uint64_t total_txns)
-{
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(42);
-    oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
-                                   kShards, kRouteSeed, mem, rng);
-    RateConfig rc;
-    sim::OramScheduler sched(device, rc.rates, rc.schedule, rc.learner,
-                             kRate, RateConfig::params());
-    for (std::size_t s = 0; s < sessions; ++s)
-        sched.openSession(mixSeed(0x5a7d, s));
-
-    const std::uint64_t per_session = total_txns / sessions;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t k = 0; k < per_session; ++k)
-        for (std::size_t s = 0; s < sessions; ++s)
-            sched.submit(static_cast<std::uint32_t>(s), k,
-                         timing::OramTransaction::real(blockId(s, k)));
-    const Cycles last = sched.run();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    EnginePoint p;
-    p.engine = "legacy";
-    p.served = per_session * sessions;
-    p.wallSeconds = seconds(t0, t1);
-    p.txnsPerSec = p.wallSeconds > 0.0
-                       ? static_cast<double>(p.served) / p.wallSeconds
-                       : 0.0;
-    p.lastCompletion = last;
-    return p;
-}
-
 EnginePoint
 runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
         timing::DispatchPolicyKind policy)
@@ -300,23 +272,40 @@ main(int argc, char **argv)
     std::printf("%-10s %-8s %-10s %-10s %-12s %-10s\n", "engine",
                 "threads", "sessions", "served", "wall-ms", "txn/s");
 
-    // --- 1. dispatch throughput: legacy O(S) scan vs ring O(1) list
-    const EnginePoint legacy = runLegacy(sessions, total_txns);
-    EnginePoint ring1 = runRing(sessions, total_txns, 1,
-                                timing::DispatchPolicyKind::RoundRobin);
+    // --- 1. dispatch scaling: ns/txn at S sessions vs 16 sessions
     auto row = [](const EnginePoint &p, std::size_t n_sessions) {
         std::printf("%-10s %-8u %-10zu %-10llu %-12.1f %-10.0f\n",
                     p.engine.c_str(), p.threads, n_sessions,
                     (unsigned long long)p.served, 1e3 * p.wallSeconds,
                     p.txnsPerSec);
     };
-    row(legacy, sessions);
+    auto ns_per_txn = [](const EnginePoint &p) {
+        return p.served ? 1e9 * p.wallSeconds / static_cast<double>(p.served)
+                        : 0.0;
+    };
+    std::vector<double> base_ns, wide_ns;
+    EnginePoint ring1;
+    for (int rep = 0; rep < kScalingReps; ++rep) {
+        base_ns.push_back(ns_per_txn(
+            runRing(kBaseSessions, total_txns, 1,
+                    timing::DispatchPolicyKind::RoundRobin)));
+        ring1 = runRing(sessions, total_txns, 1,
+                        timing::DispatchPolicyKind::RoundRobin);
+        wide_ns.push_back(ns_per_txn(ring1));
+    }
+    auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double base_median = median(base_ns);
+    const double wide_median = median(wide_ns);
+    const double scaling =
+        base_median > 0.0 ? wide_median / base_median : 0.0;
     row(ring1, sessions);
-    const double dispatch_speedup =
-        legacy.txnsPerSec > 0.0 ? ring1.txnsPerSec / legacy.txnsPerSec
-                                : 0.0;
-    std::printf("ring vs legacy dispatch speedup: %.1fx\n",
-                dispatch_speedup);
+    std::printf("dispatch ns/txn (median of %d): %.1f @%zu sessions, "
+                "%.1f @%zu sessions, ratio %.2fx\n",
+                kScalingReps, base_median, kBaseSessions, wide_median,
+                sessions, scaling);
 
     // --- 2. worker sweep: bit-identity + wall clock
     std::vector<unsigned> worker_counts{1, 4};
@@ -380,7 +369,11 @@ main(int argc, char **argv)
         os << "  \"shards\": " << kShards << ",\n";
         os << "  \"sessions\": " << sessions << ",\n";
         os << "  \"total_txns\": " << total_txns << ",\n";
-        os << "  \"dispatch_speedup\": " << num(dispatch_speedup) << ",\n";
+        os << "  \"base_sessions\": " << kBaseSessions << ",\n";
+        os << "  \"base_ns_per_txn_median\": " << num(base_median)
+           << ",\n";
+        os << "  \"ns_per_txn_median\": " << num(wide_median) << ",\n";
+        os << "  \"dispatch_scaling\": " << num(scaling) << ",\n";
         os << "  \"worker_csv_identical\": "
            << (identical ? "true" : "false") << ",\n";
         os << "  \"policy_envelope_identical\": "
@@ -398,7 +391,6 @@ main(int argc, char **argv)
             os << ", \"last_completion\": " << p.lastCompletion;
             os << "}";
         };
-        emit(legacy);
         for (const auto &p : workers)
             emit(p);
         os << "\n  ],\n";
@@ -422,10 +414,11 @@ main(int argc, char **argv)
     // --- CI gate ---
     if (check) {
         bool ok = true;
-        if (dispatch_speedup < 10.0) {
-            std::printf("FAIL: ring dispatch only %.1fx legacy "
-                        "(< 10x)\n",
-                        dispatch_speedup);
+        if (scaling <= 0.0 || scaling > kMaxScalingFactor) {
+            std::printf("FAIL: median dispatch cost at %zu sessions is "
+                        "%.2fx the %zu-session cost (> %.1fx)\n",
+                        sessions, scaling, kBaseSessions,
+                        kMaxScalingFactor);
             ok = false;
         }
         if (!identical) {
@@ -468,9 +461,9 @@ main(int argc, char **argv)
         }
         if (!ok)
             return 1;
-        std::printf("check OK: >= 10x dispatch, bit-identical worker "
-                    "sweep, policy-invariant envelope, million-session "
-                    "smoke within budget\n");
+        std::printf("check OK: O(1) dispatch scaling, bit-identical "
+                    "worker sweep, policy-invariant envelope, "
+                    "million-session smoke within budget\n");
     }
     return 0;
 }

@@ -2,7 +2,7 @@
  * @file
  * Sharded ORAM device array scaling bench: S closed sessions feed M
  * rate-enforced subtree devices (oram/sharded_device.hh) through the
- * shard-aware sim::OramScheduler. Sweeps M in {1, 2, 4, 8, 16} x
+ * sim::RingScheduler. Sweeps M in {1, 2, 4, 8, 16} x
  * session counts with a fixed open-loop backlog and reports, per
  * point:
  *
@@ -17,7 +17,7 @@
  * each shard's recorded observable stream must be exactly periodic
  * (gap = rate + that shard's OLAT, dummies included), and the M = 1
  * array must emit a stream bit-identical to the bare unsharded
- * device behind the PR 3 single-enforcer scheduler.
+ * device driven through one RateEnforcer.
  *
  * Usage:
  *   bench_sharded_throughput [--quick] [--json <path>] [--check]
@@ -42,7 +42,7 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -126,7 +126,7 @@ struct RateConfig
  * @return the last real completion cycle (the throughput span).
  */
 Cycles
-driveWorkload(sim::OramScheduler &sched, std::size_t n_sessions,
+driveWorkload(sim::RingScheduler &sched, std::size_t n_sessions,
               std::uint64_t total_txns, Cycles slot_period)
 {
     for (std::size_t s = 0; s < n_sessions; ++s)
@@ -134,14 +134,20 @@ driveWorkload(sim::OramScheduler &sched, std::size_t n_sessions,
     const std::uint64_t per_session = total_txns / n_sessions;
     for (std::uint64_t k = 0; k < per_session; ++k)
         for (std::size_t s = 0; s < n_sessions; ++s)
-            sched.submit(static_cast<std::uint32_t>(s), k,
-                         timing::OramTransaction::real(blockId(s, k)));
-    const Cycles last = sched.run();
+            if (!sched.trySubmit(static_cast<std::uint32_t>(s), k,
+                                 timing::OramTransaction::real(
+                                     blockId(s, k))))
+                tcoram_fatal("backlog exceeds the lane capacity");
+    const Cycles last = sched.runUntilIdle();
+    sim::SessionRing::Completion c;
+    while (sched.lane(0).popCompletion(c)) {
+    }
     sched.drainUntil(last + 8 * slot_period);
     return last;
 }
 
-/** Sharded harness: M recorded subtrees behind the shard scheduler. */
+/** Sharded harness: M recorded subtrees behind the ring scheduler,
+ *  whose one lane holds the whole backlog. */
 struct ShardedRun
 {
     dram::DramModel mem{dram::DramConfig{}};
@@ -149,14 +155,22 @@ struct ShardedRun
     oram::OramDeviceSpec inner; // timing backend per subtree
     oram::ShardedOramDevice device;
     RateConfig rc;
-    sim::OramScheduler sched;
+    sim::RingScheduler sched;
 
-    explicit ShardedRun(std::uint32_t shards)
+    ShardedRun(std::uint32_t shards, std::uint64_t total_txns)
         : device(inner, oram::OramConfig::benchConfig(), shards,
                  kRouteSeed, mem, rng, /*record=*/true),
           sched(device, rc.rates, rc.schedule, rc.learner, kRate,
-                RateConfig::params())
+                RateConfig::params(), options(total_txns))
     {
+    }
+
+    static sim::RingScheduler::Options
+    options(std::uint64_t total_txns)
+    {
+        sim::RingScheduler::Options o;
+        o.ringCapacity = total_txns;
+        return o;
     }
 };
 
@@ -164,7 +178,7 @@ SweepPoint
 runPoint(std::uint32_t n_shards, std::size_t n_sessions,
          std::uint64_t total_txns)
 {
-    ShardedRun run(n_shards);
+    ShardedRun run(n_shards, total_txns);
     oram::ShardedOramDevice &device = run.device;
     const Cycles last =
         driveWorkload(run.sched, n_sessions, total_txns,
@@ -207,9 +221,10 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
 }
 
 /**
- * The bare-device reference: driveWorkload through the PR 3
- * single-enforcer scheduler over an unsharded TimingOramDevice.
- * Returns the full observable stream (reals + dummies).
+ * The bare-device reference: the same backlog served in submission
+ * order through one RateEnforcer over an unsharded TimingOramDevice
+ * (under a static rate the stream cannot depend on which session a
+ * slot carries). Returns the full observable stream (reals + dummies).
  */
 std::vector<StreamEvent>
 bareStream(std::size_t n_sessions, std::uint64_t total_txns)
@@ -222,9 +237,12 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
     RateConfig rc;
     timing::RateEnforcer enforcer(recorder, rc.rates, rc.schedule,
                                   rc.learner, kRate);
-    sim::OramScheduler sched(enforcer, RateConfig::params());
-    driveWorkload(sched, n_sessions, total_txns,
-                  kRate + recorder.accessLatency());
+    const std::uint64_t per_session = total_txns / n_sessions;
+    for (std::uint64_t k = 0; k < per_session; ++k)
+        for (std::size_t s = 0; s < n_sessions; ++s)
+            enforcer.serve(k, timing::OramTransaction::real(blockId(s, k)));
+    enforcer.drainUntil(enforcer.lastCompletion() +
+                        8 * (kRate + recorder.accessLatency()));
     return events(recorder);
 }
 
@@ -232,7 +250,7 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
 std::vector<StreamEvent>
 shardedM1Stream(std::size_t n_sessions, std::uint64_t total_txns)
 {
-    ShardedRun run(1);
+    ShardedRun run(1, total_txns);
     driveWorkload(run.sched, n_sessions, total_txns,
                   kRate + run.device.accessLatency());
     return events(*run.device.recorder(0));
@@ -279,7 +297,7 @@ main(int argc, char **argv)
     }
 
     // M = 1 transparency: the array's single stream must be
-    // bit-identical to the bare device behind the PR 3 scheduler.
+    // bit-identical to the bare device behind one enforcer.
     const std::size_t eq_sessions = session_counts.back();
     const bool m1_identical =
         bareStream(eq_sessions, total_txns) ==

@@ -27,8 +27,10 @@
 
 namespace tcoram::sim {
 
-/** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current checkpoint format version. Version 2 carries the ring
+ *  scheduler's payload (activation-list shard queues, lane token
+ *  state, owed recovery slots); version-1 snapshots are rejected. */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Atomically write @p payload as a checkpoint at @p path.

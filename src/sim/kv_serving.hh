@@ -15,8 +15,8 @@
  *  - run(): one producer, sessions advanced in id order between
  *    scheduler pumps. Fully deterministic — the observable shard
  *    streams, stats and stream CSV are bit-identical across scheduler
- *    worker counts (the PR 6 phased-round contract carries through
- *    the KV layer).
+ *    worker counts (the ring scheduler's phased-round contract
+ *    carries through the KV layer).
  *  - runMultiProducer(): one client thread per lane, each owning its
  *    lane's sessions and SPSC ring endpoints while the main thread
  *    pumps the scheduler — the true multi-producer ingress path. All

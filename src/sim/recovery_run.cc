@@ -69,9 +69,13 @@ RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg)
     device_ = std::make_unique<oram::ShardedOramDevice>(
         innerSpec(cfg_), oram::OramConfig::benchConfig(), cfg_.shards,
         mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
-    sched_ = std::make_unique<OramScheduler>(*device_, rates_, schedule_,
+    // One lane whose in-flight bound covers the whole backlog: it is
+    // queued before the first serve, and tokens retire only as served.
+    RingScheduler::Options opts;
+    opts.ringCapacity = std::max<std::uint64_t>(backlogTotal(), 2);
+    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
                                              learner_, cfg_.rate,
-                                             runParams(cfg_));
+                                             runParams(cfg_), opts);
     // Session 0 carries a finite budget so the shared LeakageMonitor
     // exists and its ledger is exercised (and checkpointed); with a
     // single-rate set the budget can never be exceeded.
@@ -136,38 +140,54 @@ RecoveryRun::start()
     started_ = true;
     if (workloadDriven()) {
         for (const PlannedOp &op : plan_)
-            sched_->submit(op.session, op.arrival,
-                           timing::OramTransaction::real(
-                               op.blockId, op.isWrite, op.session));
-        return;
+            submit(op.session, op.arrival,
+                   timing::OramTransaction::real(op.blockId, op.isWrite,
+                                                 op.session));
+    } else {
+        // Open-loop: the whole backlog arrives up front (session s's
+        // k-th transaction at cycle k), the saturation regime where
+        // every shard serves back-to-back and the slot grid never
+        // breaks.
+        for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
+            for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
+                submit(s, k,
+                       timing::OramTransaction::real(blockId(s, k),
+                                                     k % 3 == 0, s));
     }
-    // Open-loop: the whole backlog arrives up front (session s's k-th
-    // transaction at cycle k), the saturation regime where every shard
-    // serves back-to-back and the slot grid never breaks.
-    for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
-        for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-            sched_->submit(s, k,
-                           timing::OramTransaction::real(
-                               blockId(s, k), k % 3 == 0, s));
+    // Move the backlog into the shard queues: checkpointable from here.
+    sched_->serveUpTo(0);
+}
+
+void
+RecoveryRun::submit(std::uint32_t session, Cycles arrival,
+                    const timing::OramTransaction &txn)
+{
+    const bool ok = sched_->trySubmit(session, arrival, txn).has_value();
+    tcoram_assert(ok, "backlog exceeds the lane's in-flight bound");
+}
+
+void
+RecoveryRun::collectCompletions()
+{
+    SessionRing::Completion c;
+    while (sched_->lane(0).popCompletion(c))
+        lastReal_ = std::max(lastReal_, c.completion.done);
 }
 
 bool
 RecoveryRun::serveOne()
 {
     tcoram_assert(started_, "start() or restoreFrom() first");
-    const auto served = sched_->serveNext();
-    if (!served)
-        return false;
-    ++served_;
-    lastReal_ = std::max(lastReal_, served->completion.done);
-    return true;
+    const bool served = sched_->serveUpTo(1) == 1;
+    collectCompletions();
+    return served;
 }
 
 Cycles
 RecoveryRun::finish()
 {
-    while (serveOne()) {
-    }
+    sched_->runUntilIdle();
+    collectCompletions();
     // The drain horizon is derived from lastReal_, which restoreFrom()
     // reloads — an interrupted-and-restored run and the uninterrupted
     // one compute the identical horizon and hence identical streams.
@@ -183,7 +203,6 @@ RecoveryRun::saveTo(const std::string &path) const
 {
     ByteWriter w;
     w.b(started_);
-    w.u64(served_);
     w.u64(lastReal_);
     w.u64(probeArrival_.size());
     for (const Cycles a : probeArrival_)
@@ -203,7 +222,6 @@ RecoveryRun::restoreFrom(const std::string &path)
         return err;
     ByteReader r(payload);
     started_ = r.b();
-    served_ = r.u64();
     lastReal_ = r.u64();
     const std::uint64_t probes = r.u64();
     tcoram_assert(probes == probeArrival_.size(),
@@ -297,7 +315,7 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
 {
     if (cfg_.deviceKind != "functional")
         return 0; // timing backends move no payloads
-    tcoram_assert(started_ && sched_->idle(),
+    tcoram_assert(started_ && servedTotal() >= backlogTotal(),
                   "probe after the backlog is drained");
     const std::uint64_t bytes = device_->shardConfig().blockBytes;
     std::vector<std::uint8_t> wrote(bytes);
@@ -316,13 +334,13 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
         timing::OramTransaction wt =
             timing::OramTransaction::real(id, /*is_write=*/true, s);
         wt.data = wrote;
-        sched_->submit(s, probeArrival_[s]++, wt);
+        submit(s, probeArrival_[s]++, wt);
         serveOne();
 
         timing::OramTransaction rt =
             timing::OramTransaction::real(id, /*is_write=*/false, s);
         rt.out = read;
-        sched_->submit(s, probeArrival_[s]++, rt);
+        submit(s, probeArrival_[s]++, rt);
         serveOne();
 
         if (read != wrote)
@@ -346,7 +364,7 @@ RecoveryRun::csvRow() const
     os << cfg_.deviceKind << ',' << cfg_.shards << ',' << cfg_.sessions
        << ',' << cfg_.txnsPerSession << ',' << cfg_.rate << ','
        << (cfg_.fault.enabled() ? cfg_.fault.toString() : "none") << ','
-       << served_ << ',' << lastReal_ << ',' << faultsInjected() << ','
+       << servedTotal() << ',' << lastReal_ << ',' << faultsInjected() << ','
        << faultsDetected() << ',' << faultsRecovered() << ','
        << retriesIssued() << ',' << recoverySlots();
     return os.str();

@@ -3,9 +3,9 @@
  * RecoveryRun: the crash-consistent run harness behind the fault-
  * recovery bench, the checkpoint tests and cli_sim's checkpoint mode.
  * It owns the whole deterministic stack — DRAM model, sharded device
- * array (recorded), rate configuration, shard-aware scheduler — and
- * drives one open-loop multi-session workload through it, with three
- * additions over driving the scheduler directly:
+ * array (recorded), rate configuration, ring scheduler — and drives
+ * one open-loop multi-session workload through it on a single worker,
+ * with three additions over driving the scheduler directly:
  *
  *  - checkpoint: saveTo() serializes the complete run state (device
  *    array including functional tree images and fault-injector draws,
@@ -39,7 +39,7 @@
 #include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
@@ -117,7 +117,8 @@ class RecoveryRun
      */
     std::string restoreFrom(const std::string &path);
 
-    /** Serve one queued transaction. @return false when drained. */
+    /** Serve exactly one queued transaction (then stop at a
+     *  checkpointable round boundary). @return false when drained. */
     bool serveOne();
 
     /**
@@ -130,7 +131,7 @@ class RecoveryRun
      *  string on success, else the save diagnostic. */
     std::string saveTo(const std::string &path) const;
 
-    std::uint64_t servedTotal() const { return served_; }
+    std::uint64_t servedTotal() const { return sched_->servedTotal(); }
     std::uint64_t backlogTotal() const
     {
         if (workloadDriven())
@@ -160,7 +161,7 @@ class RecoveryRun
     /** Shard @p i's full recorded stream (reals and dummies). */
     std::vector<Event> shardStream(std::uint32_t i) const;
 
-    const OramScheduler &scheduler() const { return *sched_; }
+    const RingScheduler &scheduler() const { return *sched_; }
     oram::ShardedOramDevice &device() { return *device_; }
     const RecoveryRunConfig &config() const { return cfg_; }
 
@@ -200,6 +201,10 @@ class RecoveryRun
     };
 
     void materializeWorkload();
+    void submit(std::uint32_t session, Cycles arrival,
+                const timing::OramTransaction &txn);
+    /** Pop the served completions off the lane (retiring tokens). */
+    void collectCompletions();
 
     RecoveryRunConfig cfg_;
     dram::DramModel mem_;
@@ -208,9 +213,8 @@ class RecoveryRun
     timing::EpochSchedule schedule_;
     timing::RateLearner learner_;
     std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<OramScheduler> sched_;
+    std::unique_ptr<RingScheduler> sched_;
     bool started_ = false;
-    std::uint64_t served_ = 0;
     Cycles lastReal_ = 0;
     /** Next probe arrival per session (after the backlog's arrivals). */
     std::vector<Cycles> probeArrival_;

@@ -67,4 +67,43 @@ SessionRing::pushCompletion(const Completion &c)
     tcoram_assert(ok, "completion ring full: in-flight bound violated");
 }
 
+void
+SessionRing::saveState(ByteWriter &w) const
+{
+    tcoram_assert(sq_.size() == 0 && cq_.size() == 0,
+                  "lane rings must be empty at a checkpoint");
+    const std::uint64_t fence = fence_.load(std::memory_order_relaxed);
+    w.u64(nextToken_);
+    w.u64(drained_);
+    w.u64(fence);
+    // Tokens above the fence already retired out of order.
+    const std::size_t mask = window_.size() - 1;
+    std::vector<std::uint64_t> marked;
+    for (std::uint64_t t = fence + 1; t < nextToken_; ++t)
+        if (window_[t & mask])
+            marked.push_back(t);
+    w.u64(marked.size());
+    for (const std::uint64_t t : marked)
+        w.u64(t);
+}
+
+void
+SessionRing::restoreState(ByteReader &r)
+{
+    tcoram_assert(sq_.size() == 0 && cq_.size() == 0 && nextToken_ == 1,
+                  "restore must target a fresh lane ring");
+    nextToken_ = r.u64();
+    drained_ = r.u64();
+    const std::uint64_t fence = r.u64();
+    const std::uint64_t n = r.u64();
+    const std::size_t mask = window_.size() - 1;
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+        const std::uint64_t t = r.u64();
+        tcoram_assert(t > fence && t - fence <= window_.size(),
+                      "snapshot retirement mark outside the window");
+        window_[t & mask] = 1;
+    }
+    fence_.store(fence, std::memory_order_release);
+}
+
 } // namespace tcoram::sim

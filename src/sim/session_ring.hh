@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/serial.hh"
 #include "timing/oram_device.hh"
 
 namespace tcoram::sim {
@@ -187,6 +188,14 @@ class SessionRing
     /** Push a completion; the backpressure bound (which caps in-flight
      *  transactions) means this cannot find the ring full (asserted). */
     void pushCompletion(const Completion &c);
+
+    /**
+     * Checkpoint support: the token counters and the out-of-order
+     * retirement marks above the fence. Both rings must be empty
+     * (asserted) — queued work lives in the shard queues by then.
+     */
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
 
   private:
     SpscRing<Submission> sq_;

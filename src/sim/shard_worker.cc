@@ -13,8 +13,7 @@
 namespace tcoram::sim {
 
 namespace {
-/** Program hash stand-in bound into every session's leakage HMAC —
- *  the same run identity OramScheduler binds. */
+/** Program hash stand-in bound into every session's leakage HMAC. */
 const std::string kProgramHash = "tcoram-scheduler-run";
 } // namespace
 
@@ -76,9 +75,8 @@ RingScheduler::openSession(std::uint64_t user_seed, double leakage_limit_bits,
                            std::uint16_t lane, std::uint16_t weight,
                            Cycles deadline_offset)
 {
-    // Same rule as OramScheduler: the shared monitor is rebuilt from
-    // the tightest finite budget at open, so admission belongs
-    // strictly before service.
+    // The shared monitor is rebuilt from the tightest finite budget at
+    // open, so admission belongs strictly before service.
     tcoram_assert(!anyServed_,
                   "open every session before any transaction is served");
     tcoram_assert(lane < lanes_.size(), "unknown lane ", lane);
@@ -191,7 +189,7 @@ RingScheduler::shardStep(unsigned worker)
     for (std::size_t s = worker; s < slots_.size(); s += workers_) {
         timing::ShardSlot &slot = *slots_[s];
         if (draining_) {
-            if (!slot.drainScaled(drainT_))
+            if (!slot.drain(drainT_))
                 blocked_[s] = 1;
             continue;
         }
@@ -202,28 +200,34 @@ RingScheduler::shardStep(unsigned worker)
             for (auto &st : staged) {
                 device_->localize(static_cast<std::uint32_t>(s), st.txn);
                 const SessionDescriptor &d = descriptors_[st.sessionId];
-                slot.enqueueScaled(st.sessionId, st.arrival, st.txn,
-                                   d.weight, d.deadlineOffset);
+                slot.enqueue(st.sessionId, st.arrival, st.txn, d.weight,
+                             d.deadlineOffset);
             }
             staged.clear();
         }
         // Serve bounded: stop at this shard's next epoch boundary and
-        // hand the transition to the serial step.
+        // hand the transition to the serial step. Once a serveUpTo()
+        // budget is spent, the shard still pays the recovery slots its
+        // last serve owes, so the stop leaves every stream settled.
         const std::uint64_t before = servedPerShard_[s];
         timing::ShardSlot::Served out;
-        for (;;) {
-            const auto status = slot.serveScaled(out);
+        while (budget_ != 0) {
+            const auto status = slot.serve(out);
             if (status == timing::ShardSlot::ServeStatus::Done) {
                 const SessionDescriptor &d = descriptors_[out.sessionId];
                 buckets_[s][d.lane].push_back(SessionRing::Completion{
                     out.tag, out.sessionId, out.arrival, out.completion});
                 ++servedPerShard_[s];
+                if (budget_ != kNoBudget)
+                    --budget_;
                 continue;
             }
             if (status == timing::ShardSlot::ServeStatus::Blocked)
                 blocked_[s] = 1;
             break;
         }
+        if (budget_ == 0 && !slot.enforcer().payOwedSlots())
+            blocked_[s] = 1;
         // Telemetry: raw typed values into this worker's own chunk —
         // the shard's owner is fixed for the whole run, and the
         // (round, shard) order key makes serialization order (hence
@@ -262,8 +266,10 @@ RingScheduler::serialStep()
         stop_ = !transitioned;
         return;
     }
+    // An exhausted serve budget leaves work queued on purpose; the
+    // loop then only runs until the rings and buckets are empty.
     bool quiescent = !transitioned;
-    if (quiescent)
+    if (quiescent && budget_ != 0)
         for (const auto &slot : slots_)
             if (!slot->idle()) {
                 quiescent = false;
@@ -288,19 +294,22 @@ RingScheduler::serialStep()
 }
 
 void
-RingScheduler::pump(bool draining, Cycles drain_t)
+RingScheduler::pump(bool draining, Cycles drain_t, std::uint64_t budget)
 {
     draining_ = draining;
     drainT_ = drain_t;
+    budget_ = budget;
     stop_ = false;
 
-    if (workers_ == 1) {
+    if (workers_ == 1 || budget != kNoBudget) {
         // Same phase functions, same order, no threads: the
-        // single-worker run IS the reference the N-worker run must
+        // single-threaded run IS the reference the N-worker run must
         // reproduce bit-for-bit.
         while (!stop_) {
-            laneStep(0);
-            shardStep(0);
+            for (unsigned w = 0; w < workers_; ++w)
+                laneStep(w);
+            for (unsigned w = 0; w < workers_; ++w)
+                shardStep(w);
             serialStep();
         }
         return;
@@ -333,8 +342,16 @@ RingScheduler::pump(bool draining, Cycles drain_t)
 Cycles
 RingScheduler::runUntilIdle()
 {
-    pump(false, 0);
+    pump(false, 0, kNoBudget);
     return lastCompletion();
+}
+
+std::uint64_t
+RingScheduler::serveUpTo(std::uint64_t n)
+{
+    const std::uint64_t before = servedTotal();
+    pump(false, 0, n);
+    return servedTotal() - before;
 }
 
 void
@@ -346,7 +363,7 @@ RingScheduler::drainUntil(Cycles t)
     for (const auto &ring : lanes_)
         tcoram_assert(ring->submissionBacklog() == 0,
                       "drain with submissions still ringed");
-    pump(true, t);
+    pump(true, t, kNoBudget);
 }
 
 const SessionStats &
@@ -415,9 +432,10 @@ RingScheduler::latencyPercentile(std::uint32_t sid, double q) const
     const auto &lat = descriptors_[sid].latencies;
     if (lat.empty())
         return 0;
-    // Same nearest-rank discipline as OramScheduler: nth_element over
-    // a REUSED scratch keeps repeated quantile queries linear and
-    // allocation-free once the scratch has grown.
+    // Nearest-rank: smallest value with at least q of the mass below.
+    // nth_element over a REUSED scratch keeps repeated quantile
+    // queries linear and allocation-free once the scratch has grown —
+    // the samples themselves stay untouched (and in arrival order).
     latencyScratch_.assign(lat.begin(), lat.end());
     const auto rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(lat.size())));
@@ -427,6 +445,106 @@ RingScheduler::latencyPercentile(std::uint32_t sid, double q) const
                          static_cast<std::ptrdiff_t>(idx),
                      latencyScratch_.end());
     return latencyScratch_[idx];
+}
+
+void
+RingScheduler::saveState(ByteWriter &w) const
+{
+    for (const auto &per_lane : staging_)
+        for (const auto &staged : per_lane)
+            tcoram_assert(staged.empty(),
+                          "checkpoint with staged submissions");
+    for (const auto &per_shard : buckets_)
+        for (const auto &bucket : per_shard)
+            tcoram_assert(bucket.empty(),
+                          "checkpoint with unfolded completions");
+    w.u64(round_);
+    w.b(anyServed_);
+    w.b(monitor_ != nullptr);
+    if (monitor_)
+        monitor_->saveState(w);
+    w.u64(descriptors_.size());
+    for (const SessionDescriptor &d : descriptors_) {
+        const SessionStats &st = d.stats;
+        w.u32(st.sessionId);
+        w.f64(st.leakageLimitBits);
+        w.b(st.admitted);
+        w.u64(st.submitted);
+        w.u64(st.completed);
+        w.u64(st.firstArrival);
+        w.u64(st.lastCompletion);
+        w.u64(st.totalLatency);
+        w.u64(st.totalSlotWait);
+        w.u64(st.maxLatency);
+        w.u32(d.lane);
+        w.u32(d.weight);
+        w.u64(d.deadlineOffset);
+        w.u64(d.latencies.size());
+        for (const Cycles c : d.latencies)
+            w.u64(c);
+    }
+    w.u64(lanes_.size());
+    for (const auto &ring : lanes_)
+        ring->saveState(w);
+    w.u64(slots_.size());
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        w.u64(servedPerShard_[s]);
+        slots_[s]->saveState(w);
+    }
+}
+
+void
+RingScheduler::restoreState(ByteReader &r)
+{
+    round_ = r.u64();
+    anyServed_ = r.b();
+    const bool had_monitor = r.b();
+    tcoram_assert(had_monitor == (monitor_ != nullptr),
+                  "snapshot and scheduler disagree on the leakage "
+                  "monitor (open the same sessions before restoring)");
+    if (monitor_)
+        monitor_->restoreState(r);
+    const std::uint64_t n_sessions = r.u64();
+    tcoram_assert(n_sessions == descriptors_.size(),
+                  "snapshot session count mismatch (", n_sessions, " vs ",
+                  descriptors_.size(), ")");
+    for (SessionDescriptor &d : descriptors_) {
+        SessionStats &st = d.stats;
+        st.sessionId = r.u32();
+        st.leakageLimitBits = r.f64();
+        st.admitted = r.b();
+        st.submitted = r.u64();
+        st.completed = r.u64();
+        st.firstArrival = r.u64();
+        st.lastCompletion = r.u64();
+        st.totalLatency = r.u64();
+        st.totalSlotWait = r.u64();
+        st.maxLatency = r.u64();
+        const auto lane = static_cast<std::uint16_t>(r.u32());
+        const auto weight = static_cast<std::uint16_t>(r.u32());
+        const Cycles deadline_offset = r.u64();
+        tcoram_assert(!r.ok() || (lane == d.lane && weight == d.weight &&
+                                  deadline_offset == d.deadlineOffset),
+                      "snapshot session ", st.sessionId,
+                      " was opened with different lane/QoS attributes");
+        d.latencies.clear();
+        const std::uint64_t m = r.u64();
+        for (std::uint64_t i = 0; i < m && r.ok(); ++i)
+            d.latencies.push_back(r.u64());
+    }
+    const std::uint64_t n_lanes = r.u64();
+    tcoram_assert(n_lanes == lanes_.size(), "snapshot lane count mismatch (",
+                  n_lanes, " vs ", lanes_.size(), ")");
+    for (auto &ring : lanes_)
+        ring->restoreState(r);
+    const std::uint64_t n_slots = r.u64();
+    tcoram_assert(n_slots == slots_.size(),
+                  "snapshot shard count mismatch (", n_slots, " vs ",
+                  slots_.size(), ")");
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        servedPerShard_[s] = r.u64();
+        slots_[s]->restoreState(r);
+    }
 }
 
 std::string

@@ -1,12 +1,22 @@
 /**
  * @file
- * RingScheduler: the million-session, M-threaded front of the sharded
- * ORAM device array. Clients talk to the scheduler exclusively through
- * per-lane lock-free SPSC rings (sim/session_ring.hh); sessions are
- * lightweight descriptors (HMAC-admitted budget + lane + QoS
- * attributes, ~130 bytes), so a million open sessions fit in a couple
- * hundred MB; dispatch runs on up to M worker threads, one shard's
- * ShardSlot (enforcer + calibrated device) per worker stripe.
+ * RingScheduler: the multi-session, M-threaded front of the sharded
+ * ORAM device array — the one scheduler of the tree. N client sessions
+ * (each with its own §5 protocol identity and leakage budget) feed M
+ * rate-enforced subtree devices. WHICH pending transaction a shard
+ * serves is dispatch policy; WHEN each shard's accesses happen is
+ * decided entirely by that shard's enforcer, so the observable channel
+ * is M periodic access streams whatever the session count or arrival
+ * pattern. Admission clears the COMPOSED bound M * |E| * lg|R|, and the
+ * tightest finite session budget becomes the LeakageMonitor shared by
+ * every shard's enforcer.
+ *
+ * Clients talk to the scheduler exclusively through per-lane lock-free
+ * SPSC rings (sim/session_ring.hh); sessions are lightweight
+ * descriptors (HMAC-admitted budget + lane + QoS attributes, ~130
+ * bytes), so a million open sessions fit in a couple hundred MB;
+ * dispatch runs on up to M worker threads, one shard's ShardSlot
+ * (enforcer + calibrated device) per worker stripe.
  *
  * ## Determinism: N threads == 1 thread, bit-identical
  *
@@ -20,10 +30,10 @@
  *   == barrier ==
  *   phase S (partitioned by SHARD): merge the staged transactions in
  *     lane order into the slot's session queues, then serve BOUNDED:
- *     a slot stops at its own next epoch boundary (ShardSlot::
- *     serveScaled) instead of processing the transition, because the
- *     transition is the one operation that touches cross-shard state
- *     (the shared LeakageMonitor).
+ *     a slot stops at its own next epoch boundary (ShardSlot::serve)
+ *     instead of processing the transition, because the transition is
+ *     the one operation that touches cross-shard state (the shared
+ *     LeakageMonitor).
  *   == barrier, completion step (one thread) ==
  *     apply the pending epoch transitions in SHARD-ID ORDER, then
  *     decide whether the round loop is quiescent.
@@ -36,10 +46,18 @@
  * submission sequence, independent of the worker count: per-shard
  * observable streams, leakage counters, session stats and csvRow
  * output are bit-identical between 1 and N workers (test-enforced in
- * tests/test_scheduler_scale.cc). And since the bounded serve replays
- * exactly the unbounded enforcer sequence (timing/rate_enforcer.hh),
- * each shard's stream remains the same periodic, session-count-blind
- * sequence PR 3/4 pinned.
+ * tests/test_scheduler_scale.cc).
+ *
+ * ## Faults and checkpoints
+ *
+ * Shards may run a fault-injecting functional datapath: a retried
+ * access leaves recovery slots owed in its enforcer, paid at the
+ * shard's next bounded call on the slot grid (timing/rate_enforcer.hh),
+ * so recovery stays unobservable. At a quiescent round boundary the
+ * whole scheduler — descriptors, lane token state, shard queues,
+ * enforcers and the monitor's ledger — checkpoints through
+ * saveState(); serveUpTo() reaches such a boundary after an exact
+ * number of serves (the RecoveryRun kill points, sim/recovery_run.hh).
  */
 
 #ifndef TCORAM_SIM_SHARD_WORKER_HH
@@ -54,12 +72,48 @@
 #include "oram/sharded_device.hh"
 #include "protocol/session.hh"
 #include "sim/column_batch.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/session_ring.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/shard_slot.hh"
 
 namespace tcoram::sim {
+
+/** Per-session end-of-run statistics. */
+struct SessionStats
+{
+    std::uint32_t sessionId = 0;
+    /** The session's leakage budget L (negative = unlimited). */
+    double leakageLimitBits = -1.0;
+    /** Admission result of the §5 handshake. */
+    bool admitted = false;
+
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;
+    Cycles firstArrival = 0;
+    Cycles lastCompletion = 0;
+    /** Sum over completions of (done - arrival). */
+    Cycles totalLatency = 0;
+    /** Sum over completions of (start - arrival): rate-induced wait. */
+    Cycles totalSlotWait = 0;
+    Cycles maxLatency = 0;
+
+    double
+    avgLatency() const
+    {
+        return completed ? static_cast<double>(totalLatency) /
+                               static_cast<double>(completed)
+                         : 0.0;
+    }
+
+    /** Completions per million cycles over @p span_cycles. */
+    double
+    throughputPerMcycle(Cycles span_cycles) const
+    {
+        return span_cycles ? 1e6 * static_cast<double>(completed) /
+                                 static_cast<double>(span_cycles)
+                           : 0.0;
+    }
+};
 
 class RingScheduler
 {
@@ -90,8 +144,13 @@ class RingScheduler
         bool recordShardTelemetry = false;
     };
 
-    /** Same contract as OramScheduler's sharded constructor; @p rates,
-     *  @p schedule and @p learner must outlive the scheduler. */
+    /**
+     * One owned enforcer per shard of @p device, all sharing @p rates /
+     * @p schedule / @p learner (public knobs, which must outlive the
+     * scheduler) but each timing its own stream. Admission uses
+     * @p params with its shard count overridden to the device's
+     * (composed bound).
+     */
     RingScheduler(oram::ShardedOramDevice &device,
                   const timing::RateSet &rates,
                   const timing::EpochSchedule &schedule,
@@ -115,8 +174,9 @@ class RingScheduler
      * objects — nothing per-session survives but the descriptor);
      * unlimited budgets are admitted outright, which is what keeps a
      * million opens cheap. The tightest finite admitted budget becomes
-     * the run's shared LeakageMonitor, as in OramScheduler. Must
-     * happen before the first transaction is served (asserted).
+     * the run's LeakageMonitor, attached to every shard's enforcer.
+     * Must happen before the first transaction is served (asserted): a
+     * later rebuild would forget bits already spent.
      */
     std::uint32_t openSession(std::uint64_t user_seed,
                               double leakage_limit_bits = -1.0,
@@ -148,6 +208,17 @@ class RingScheduler
      */
     Cycles runUntilIdle();
 
+    /**
+     * Run rounds on the calling thread until exactly @p n more
+     * transactions are served, or fewer if every queue empties first,
+     * then finish the round loop at a quiescent boundary: recovery
+     * slots owed by the last serves paid, every served completion
+     * folded into its lane ring, every ringed submission merged into
+     * the shard queues. serveUpTo(0) only does the latter. Worker-
+     * count independent, like every pump. @return the count served.
+     */
+    std::uint64_t serveUpTo(std::uint64_t n);
+
     /** Fire the trailing dummies every shard owes up to @p t (same
      *  barrier discipline for the epoch transitions on the way). */
     void drainUntil(Cycles t);
@@ -168,6 +239,21 @@ class RingScheduler
     double fairnessRatio() const;
     /** Nearest-rank queue-latency quantile (requires recordLatencies). */
     Cycles latencyPercentile(std::uint32_t sid, double q) const;
+
+    /**
+     * Checkpoint support: session descriptors (stats and latency
+     * samples), lane token state, every shard slot (enforcer, queued
+     * backlog, policy state), the shared monitor's ledger and the
+     * round counters. Legal only at a quiescent round boundary — every
+     * lane ring, staging buffer and completion bucket empty (asserted;
+     * serveUpTo() and runUntilIdle() end there once the client has
+     * popped its completions). The device array is checkpointed
+     * separately by the run harness. Restore requires a scheduler
+     * built with the identical configuration and the same sessions
+     * already opened (asserted). Telemetry rows are not carried.
+     */
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
 
     /** Per-shard summary CSV (header + one row per shard), pinned
      *  bit-identical across worker counts. */
@@ -203,7 +289,7 @@ class RingScheduler
     void laneStep(unsigned worker);
     void shardStep(unsigned worker);
     void serialStep();
-    void pump(bool draining, Cycles drain_t);
+    void pump(bool draining, Cycles drain_t, std::uint64_t budget);
     void attachMonitor();
 
     oram::ShardedOramDevice *device_;
@@ -240,6 +326,10 @@ class RingScheduler
     bool stop_ = false;
     bool draining_ = false;
     Cycles drainT_ = 0;
+    /** Serves left in this pump (kNoBudget = unbounded); only the
+     *  single-threaded loop of serveUpTo() counts it down. */
+    std::uint64_t budget_ = kNoBudget;
+    static constexpr std::uint64_t kNoBudget = ~std::uint64_t{0};
 };
 
 } // namespace tcoram::sim

@@ -1,10 +1,10 @@
 /**
  * @file
- * Pluggable QoS dispatch policies for ShardSlot's scaled core. A
- * policy only chooses WHICH eligible session's head transaction rides
- * the shard's next enforced slot — the enforcer alone times the slot,
- * so no policy can shift the shard's observable stream (test-enforced
- * in tests/test_scheduler_scale.cc).
+ * Pluggable QoS dispatch policies for ShardSlot. A policy only
+ * chooses WHICH eligible session's head transaction rides the shard's
+ * next enforced slot — the enforcer alone times the slot, so no policy
+ * can shift the shard's observable stream (test-enforced in
+ * tests/test_scheduler_scale.cc).
  *
  * Eligibility: a session's head is eligible iff
  *     headArrival <= max(min over heads of headArrival, lastCompletion)
@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace tcoram::timing {
@@ -79,6 +80,9 @@ class DispatchPolicy
     virtual DispatchPolicyKind kind() const = 0;
     /** Scan position of the (eligible) session to serve next. */
     virtual std::size_t pick(const DispatchView &view) = 0;
+    /** Checkpoint support for policies that carry state across picks. */
+    virtual void saveState(ByteWriter &) const {}
+    virtual void restoreState(ByteReader &) {}
 };
 
 std::unique_ptr<DispatchPolicy> makeDispatchPolicy(DispatchPolicyKind kind);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>
 #include <limits>
 #include <numbers>
 #include <vector>
@@ -63,11 +64,18 @@ LeakageAccountant::unprotectedBits(Cycles t, Cycles olat)
     // log-sum-exp. The full Example 6.1 expression also sums over
     // termination times, which adds < lg(t) bits; we fold that in.
     const double ln2 = std::numbers::ln2_v<double>;
+    // Reentrant log-gamma: std::lgamma writes the global signgam, a
+    // data race when ExperimentEngine workers run this concurrently.
+    // Every argument below is >= 1, where Gamma is positive, so the
+    // sign output is never needed.
+    auto ln_gamma = [](double x) {
+        int sign = 0;
+        return ::lgamma_r(x, &sign);
+    };
     auto lg_choose = [&](double n, double k) {
         if (k < 0 || k > n)
             return -std::numeric_limits<double>::infinity();
-        return (std::lgamma(n + 1) - std::lgamma(k + 1) -
-                std::lgamma(n - k + 1)) /
+        return (ln_gamma(n + 1) - ln_gamma(k + 1) - ln_gamma(n - k + 1)) /
                ln2;
     };
 

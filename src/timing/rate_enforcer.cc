@@ -6,6 +6,19 @@
 
 namespace tcoram::timing {
 
+namespace {
+
+/** Backoff slots owed for @p retries: sum over retry i of 2^(i-1) —
+ *  mirrors oram::RecoveryEngine::backoffSlots (duplicated because the
+ *  timing layer sits below oram in the dependency order). */
+std::uint64_t
+backoffSlots(std::uint64_t retries)
+{
+    return (std::uint64_t{1} << retries) - 1;
+}
+
+} // namespace
+
 RateEnforcer::RateEnforcer(OramDeviceIf &device, const RateSet &rates,
                            const EpochSchedule &schedule,
                            const LearnerIf &learner, Cycles initial_rate)
@@ -34,18 +47,16 @@ RateEnforcer::evictInGap()
     // may work until the next slot's earliest possible service start,
     // so an eviction in flight never delays a real access. When an
     // epoch transition comes first, the post-transition rate is
-    // unknown here (the learner runs at the boundary, and under the
-    // bounded protocol at the serial barrier) — bound the window by
-    // the fastest rate any decision could pick, so the eviction
-    // retires before even the earliest post-transition slot.
+    // unknown here (the learner runs at the barrier) — bound the
+    // window by the fastest rate any decision could pick, so the
+    // eviction retires before even the earliest post-transition slot.
     //
     // Everything the horizon depends on — the slot grid, the epoch
     // schedule, calibrated constants — is public, so eviction timing
-    // is data-independent, and this method runs at the same sequence
-    // points on the bounded and unbounded paths (after every
-    // completion), keeping N-worker runs bit-identical to 1-worker
-    // runs.
-    const Cycles boundary = schedule_.epochStart(epoch_ + 1);
+    // is data-independent, and this method runs after every
+    // completion whoever applies the transitions, keeping N-worker
+    // runs bit-identical to 1-worker runs.
+    const Cycles boundary = nextBoundary();
     const Cycles slot = nextSlot();
     const Cycles horizon =
         boundary >= slot ? slot : lastCompletion_ + rateFloor_;
@@ -87,123 +98,71 @@ RateEnforcer::transitionAt(Cycles boundary)
 }
 
 void
-RateEnforcer::advanceTo(Cycles t)
+RateEnforcer::fireDummy(Cycles slot)
 {
-    // Interleave epoch transitions and idle dummy slots in time order.
-    for (;;) {
-        const Cycles boundary = schedule_.epochStart(epoch_ + 1);
-        const Cycles slot = nextSlot();
-
-        if (boundary <= t && boundary <= slot) {
-            transitionAt(boundary);
-            continue;
-        }
-        if (slot < t) {
-            // The slot fires with no pending work: dummy access.
-            const OramCompletion c =
-                device_.submit(slot, OramTransaction::dummy());
-            lastCompletion_ = c.done;
-            counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-            evictInGap();
-            continue;
-        }
-        return;
-    }
+    const OramCompletion c = device_.submit(slot, OramTransaction::dummy());
+    lastCompletion_ = c.done;
+    counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
+    evictInGap();
 }
 
 OramCompletion
 RateEnforcer::serve(Cycles arrival, const OramTransaction &txn)
 {
-    tcoram_assert(txn.kind == OramTransaction::Kind::Real,
-                  "dummies are scheduled by the enforcer, not submitted");
-
-    // Fire any dummies/transitions due strictly before the arrival.
-    advanceTo(arrival);
-
-    // Req 3 (Figure 4): this request was outstanding concurrently with
-    // the previous real access (back-to-back queue) — charge one rate
-    // period to Waste on top of the physical wait.
-    if (arrival < lastRealCompletion_)
-        counters_.noteWaste(rate_);
-
-    // The request starts at the first slot at or after its arrival;
-    // epoch transitions between arrival and that slot must be applied
-    // (they change the rate and hence the slot position).
-    for (;;) {
-        const Cycles boundary = schedule_.epochStart(epoch_ + 1);
-        const Cycles slot = std::max(nextSlot(), arrival);
-        if (boundary <= slot) {
-            transitionAt(boundary);
-            continue;
-        }
-        // Waiting from arrival to slot start is rate-induced loss: the
-        // paper's Waste cases (a) overset rate and (b) dummy in flight
-        // both show up as slot - arrival here.
-        const Cycles start = slot;
-        if (start > arrival)
-            counters_.noteWaste(start - arrival);
-
-        const OramCompletion c = device_.submit(start, txn);
-        counters_.noteRealAccess(c.done - start);
-        counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-        lastCompletion_ = c.done;
-        lastRealCompletion_ = c.done;
-        evictInGap();
-        if (c.retries > 0)
-            chargeRecovery(c);
-        return c;
-    }
-}
-
-void
-RateEnforcer::chargeRecovery(const OramCompletion &c)
-{
-    // Backoff slots owed: sum over retry i of 2^(i-1) — mirrors
-    // oram::RecoveryEngine::backoffSlots (the formula is duplicated
-    // because the timing layer sits below oram in the dependency
-    // order). Each slot fires at the enforced position the next idle
-    // dummy would have used, with due epoch transitions applied first,
-    // exactly as advanceTo() interleaves them.
-    const std::uint64_t slots = (std::uint64_t{1} << c.retries) - 1;
-    for (std::uint64_t i = 0; i < slots; ++i) {
-        while (schedule_.epochStart(epoch_ + 1) <= nextSlot())
-            transitionAt(schedule_.epochStart(epoch_ + 1));
-        const OramCompletion d =
-            device_.submit(nextSlot(), OramTransaction::dummy());
-        lastCompletion_ = d.done;
-        counters_.noteCrypto(d.cryptoBytes, d.cryptoCalls);
-        evictInGap();
-    }
-    counters_.noteFaultRecovery(c.faultsDetected, c.retries, slots);
+    std::optional<OramCompletion> c;
+    while (!(c = serveBounded(arrival, txn)))
+        applyTransition();
+    while (!payOwedSlots())
+        applyTransition();
+    return *c;
 }
 
 void
 RateEnforcer::drainUntil(Cycles t)
 {
-    advanceTo(t);
+    while (!drainBounded(t))
+        applyTransition();
 }
 
 bool
-RateEnforcer::advanceBounded(Cycles t)
+RateEnforcer::payOwedSlots()
 {
-    // Same interleave as advanceTo(): when both a transition and a
-    // dummy slot are due, the transition goes first — here that means
+    // Backoff slots owed by the last retried completion fire at the
+    // enforced positions the next idle dummies would have used, so an
+    // observer cannot tell recovery from idleness — the leak-free
+    // property the fault model requires. Transitions interleave
+    // exactly as for idle dummies: one due at or before the next slot
+    // goes first, which here means stopping for the barrier.
+    while (owedSlotsLeft_ > 0) {
+        if (nextBoundary() <= nextSlot())
+            return false;
+        fireDummy(nextSlot());
+        --owedSlotsLeft_;
+    }
+    if (owedRetries_ != 0) {
+        counters_.noteFaultRecovery(owedFaults_, owedRetries_,
+                                    backoffSlots(owedRetries_));
+        owedRetries_ = owedFaults_ = 0;
+    }
+    return true;
+}
+
+bool
+RateEnforcer::drainBounded(Cycles t)
+{
+    if (!payOwedSlots())
+        return false;
+    // Interleave epoch transitions and idle dummy slots in time order:
+    // when both are due, the transition goes first — here that means
     // stopping, since the transition belongs to the serial barrier.
     for (;;) {
-        const Cycles boundary = schedule_.epochStart(epoch_ + 1);
+        const Cycles boundary = nextBoundary();
         const Cycles slot = nextSlot();
-
         if (boundary <= t && boundary <= slot)
             return false;
-        if (slot < t) {
-            const OramCompletion c =
-                device_.submit(slot, OramTransaction::dummy());
-            lastCompletion_ = c.done;
-            counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-            evictInGap();
-            continue;
-        }
-        return true;
+        if (slot >= t)
+            return true;
+        fireDummy(slot); // the slot fires with no pending work
     }
 }
 
@@ -213,50 +172,49 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
     tcoram_assert(txn.kind == OramTransaction::Kind::Real,
                   "dummies are scheduled by the enforcer, not submitted");
 
-    // The pre-arrival advance and the Req 3 charge run once per
-    // transaction, at the same sequence point as serve(). Retries skip
-    // both: serve()'s post-arrival loop never fires dummies, even when
-    // a transition drops the rate so far that nextSlot() lands before
-    // the arrival again, and re-entering the advance here would.
+    // Owed recovery slots, then dummies due strictly before the
+    // arrival, then the Req 3 charge — once per transaction. Retries
+    // skip all three: once the transaction has arrived no dummy may
+    // fire ahead of it, even when a transition drops the rate so far
+    // that nextSlot() lands before the arrival again.
     if (!serveWasteCharged_) {
-        if (!advanceBounded(arrival))
+        if (!drainBounded(arrival))
             return std::nullopt;
+        // Req 3 (Figure 4): this request was outstanding concurrently
+        // with the previous real access (back-to-back queue) — charge
+        // one rate period to Waste on top of the physical wait.
         if (arrival < lastRealCompletion_)
             counters_.noteWaste(rate_);
         serveWasteCharged_ = true;
     }
 
-    const Cycles boundary = schedule_.epochStart(epoch_ + 1);
+    // The request starts at the first slot at or after its arrival;
+    // an epoch transition between arrival and that slot changes the
+    // rate and hence the slot position, so it must be applied first.
     const Cycles slot = std::max(nextSlot(), arrival);
-    if (boundary <= slot)
+    if (nextBoundary() <= slot)
         return std::nullopt;
 
-    const Cycles start = slot;
-    if (start > arrival)
-        counters_.noteWaste(start - arrival);
+    // Waiting from arrival to slot start is rate-induced loss: the
+    // paper's Waste cases (a) overset rate and (b) dummy in flight
+    // both show up as slot - arrival here.
+    if (slot > arrival)
+        counters_.noteWaste(slot - arrival);
 
-    const OramCompletion c = device_.submit(start, txn);
-    // Recovery charging fires extra slots that may cross epoch
-    // boundaries — incompatible with the bounded protocol's barrier
-    // discipline. The ring scheduler runs timing-only devices, which
-    // never retry; a fault-modeled datapath belongs on the unbounded
-    // path (sim/oram_scheduler.hh + serve()).
-    tcoram_assert(c.retries == 0,
-                  "ring scheduler is outside the fault domain (device "
-                  "reported ", c.retries, " retries on a bounded serve)");
-    counters_.noteRealAccess(c.done - start);
+    const OramCompletion c = device_.submit(slot, txn);
+    counters_.noteRealAccess(c.done - slot);
     counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
     lastCompletion_ = c.done;
     lastRealCompletion_ = c.done;
     evictInGap();
     serveWasteCharged_ = false;
+    if (c.retries > 0) {
+        // Paid by the next bounded call, before anything else.
+        owedRetries_ = c.retries;
+        owedFaults_ = c.faultsDetected;
+        owedSlotsLeft_ = backoffSlots(c.retries);
+    }
     return c;
-}
-
-bool
-RateEnforcer::drainBounded(Cycles t)
-{
-    return advanceBounded(t);
 }
 
 void
@@ -268,6 +226,9 @@ RateEnforcer::saveState(ByteWriter &w) const
     w.u64(lastRealCompletion_);
     w.u32(pinnedDecisions_);
     w.b(serveWasteCharged_);
+    w.u64(owedRetries_);
+    w.u64(owedFaults_);
+    w.u64(owedSlotsLeft_);
     counters_.saveState(w);
     w.u64(decisions_.size());
     for (const RateDecision &d : decisions_) {
@@ -286,6 +247,9 @@ RateEnforcer::restoreState(ByteReader &r)
     lastRealCompletion_ = r.u64();
     pinnedDecisions_ = r.u32();
     serveWasteCharged_ = r.b();
+    owedRetries_ = r.u64();
+    owedFaults_ = r.u64();
+    owedSlotsLeft_ = r.u64();
     counters_.restoreState(r);
     decisions_.clear();
     const std::uint64_t n = r.u64();

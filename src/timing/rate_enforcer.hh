@@ -64,14 +64,49 @@ class RateEnforcer
      */
     void attachMonitor(LeakageMonitor *monitor) { monitor_ = monitor; }
 
+    // --- Bounded calls: the one serve algorithm ---
+    //
+    // Each call stops INSTEAD of processing an epoch transition; the
+    // caller applies it with applyTransition() and retries. The ring
+    // scheduler (sim/shard_worker.hh) does so at a barrier in shard-id
+    // order, since a transition is the only step touching state shared
+    // across shards (the LeakageMonitor) — M worker threads stay
+    // race-free and bit-identical to one. A completion with retries
+    // owes exponential-backoff recovery slots, kept as (checkpointed)
+    // state and paid first by the next bounded call, at the positions
+    // idle dummies would use: recovery is invisible in the stream.
+
     /**
-     * Serve a real transaction that arrives at cycle @p arrival. Any
-     * dummy slots that fire before the request can be scheduled are
-     * simulated first; the transaction starts at the first enforced
-     * slot at or after its arrival, so the observable stream stays
-     * periodic whatever the request carries. Returns the completion
-     * record (the line is available at .done).
+     * Serve a real transaction arriving at cycle @p arrival: owed
+     * slots and the dummies due before the arrival fire first, then
+     * the transaction starts at the first enforced slot at or after
+     * its arrival, so the stream stays periodic whatever it carries.
+     * nullopt when a transition must be applied first; retry with the
+     * SAME transaction (the Req 3 waste charge is tracked across
+     * retries).
      */
+    std::optional<OramCompletion> serveBounded(Cycles arrival,
+                                               const OramTransaction &txn);
+
+    /** Fire owed slots, then the dummies due before @p t. @return true
+     *  once the schedule reached @p t, false at a transition. */
+    bool drainBounded(Cycles t);
+
+    /** Fire only the owed slots. @return true once none are owed,
+     *  false at a transition. */
+    bool payOwedSlots();
+
+    /** The epoch boundary the bounded calls refuse to cross. */
+    Cycles nextBoundary() const { return schedule_.epochStart(epoch_ + 1); }
+
+    /** Apply the transition at nextBoundary() that a bounded call
+     *  stopped at. */
+    void applyTransition() { transitionAt(nextBoundary()); }
+
+    // --- Single-stream loops over the bounded calls ---
+
+    /** serveBounded() with transitions applied inline, then the owed
+     *  slots paid. The line is available at .done. */
     OramCompletion serve(Cycles arrival, const OramTransaction &txn);
 
     /** Payload-free convenience over serve(). */
@@ -81,57 +116,9 @@ class RateEnforcer
         return serve(arrival, OramTransaction::real()).done;
     }
 
-    /**
-     * Advance the enforced schedule to cycle @p t with no pending
-     * work, firing the dummy accesses the rate demands. Called when
-     * the program ends (and optionally at sync points).
-     */
+    /** drainBounded() with transitions applied inline. Called when the
+     *  program ends (and optionally at sync points). */
     void drainUntil(Cycles t);
-
-    // --- Bounded-horizon variants (multi-threaded worker pool) ---
-    //
-    // serve()/drainUntil() process epoch transitions inline, which is
-    // fine single-threaded but racy when M enforcers share one
-    // LeakageMonitor across worker threads. The bounded variants stop
-    // INSTEAD of processing a transition: the caller applies pending
-    // transitions at a deterministic slot barrier (shard-id order, see
-    // sim/shard_worker.hh) via applyTransition() and then retries.
-    // Composing bounded ops with barrier-applied transitions replays
-    // the identical micro-operation sequence — dummies, waste charges,
-    // transitions, serves, all in the same order with the same
-    // counters — as the unbounded calls, so per-shard observable
-    // streams and decisions stay bit-identical to the single-threaded
-    // path (test-enforced in tests/test_scheduler_scale.cc).
-
-    /**
-     * Bounded serve(): returns nullopt when the transaction cannot be
-     * served before this enforcer's next epoch boundary. The caller
-     * must applyTransition() (after the barrier) and retry with the
-     * SAME transaction — the enforcer tracks the per-transaction
-     * Req 3 waste charge across retries.
-     */
-    std::optional<OramCompletion> serveBounded(Cycles arrival,
-                                               const OramTransaction &txn);
-
-    /**
-     * Bounded drainUntil(): fires dummy slots due before @p t, but
-     * stops instead of processing an epoch transition. @return true
-     * when the schedule reached @p t; false when a transition at
-     * nextBoundary() must be applied first.
-     */
-    bool drainBounded(Cycles t);
-
-    /** The epoch boundary the bounded calls refuse to cross. */
-    Cycles nextBoundary() const { return schedule_.epochStart(epoch_ + 1); }
-
-    /**
-     * Apply the epoch transition at nextBoundary() — the serial
-     * barrier step. Only meaningful right after a bounded call
-     * reported it stopped at the boundary; transitions must be applied
-     * in shard-id order so the shared monitor's ledger is
-     * deterministic whatever the worker count.
-     */
-    void applyTransition() { transitionAt(nextBoundary()); }
 
     Cycles currentRate() const { return rate_; }
     unsigned currentEpoch() const { return epoch_; }
@@ -145,22 +132,13 @@ class RateEnforcer
 
     /**
      * Checkpoint support: rate/epoch position, completion horizons,
-     * counters and the decision log. The attached monitor is shared
-     * across enforcers and checkpointed by its owner.
+     * owed recovery slots, counters and the decision log. The attached
+     * monitor is shared across enforcers and checkpointed by its owner.
      */
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);
 
   private:
-    /**
-     * Charge a recovered transaction's retry cost into the observable
-     * stream: fire its exponential-backoff slots as dummy-equivalent
-     * accesses at the enforced slot positions. The slots land exactly
-     * where idle dummies would, so the stream stays periodic — an
-     * observer cannot tell recovery from idleness, which is the
-     * leak-free property the fault model requires.
-     */
-    void chargeRecovery(const OramCompletion &c);
     /**
      * Offer the device a background-eviction window (eviction engine,
      * oram/eviction_engine.hh) after a completed slot: from the
@@ -168,18 +146,12 @@ class RateEnforcer
      * service start — bounded by the fastest candidate rate when an
      * epoch transition comes first, so an eviction in flight never
      * delays a post-transition slot. Eviction traffic is charged like
-     * PR 7's recovery slots (dummy-equivalent crypto into the
-     * counters), never into the slot grid. No-op on eviction-free
-     * devices.
+     * recovery slots (dummy-equivalent crypto into the counters),
+     * never into the slot grid. No-op on eviction-free devices.
      */
     void evictInGap();
-    /** Process epoch transitions and dummy slots up to cycle @p t. */
-    void advanceTo(Cycles t);
-    /**
-     * advanceTo(), but stop (returning false) where advanceTo() would
-     * process an epoch transition; true once the schedule reached @p t.
-     */
-    bool advanceBounded(Cycles t);
+    /** Fire an idle (or recovery) dummy at @p slot. */
+    void fireDummy(Cycles slot);
     /** Apply the epoch transition at @p boundary. */
     void transitionAt(Cycles boundary);
     /** Next cycle an access may start under the current rate. */
@@ -204,10 +176,14 @@ class RateEnforcer
     /**
      * Whether the in-flight bounded transaction already completed its
      * pre-arrival advance and took its Req 3 waste charge —
-     * serveBounded() retries must skip both (serve()'s post-arrival
-     * loop neither fires dummies nor re-charges).
+     * serveBounded() retries must skip both.
      */
     bool serveWasteCharged_ = false;
+    /** The last retried completion's retry and fault counts (noted
+     *  once its recovery slots are paid) and the slots still to fire. */
+    std::uint64_t owedRetries_ = 0;
+    std::uint64_t owedFaults_ = 0;
+    std::uint64_t owedSlotsLeft_ = 0;
 };
 
 } // namespace tcoram::timing

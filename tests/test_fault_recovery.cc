@@ -647,6 +647,33 @@ TEST(RecoveryRun, SnapshotBytesAreDeterministic)
     std::remove(p2.c_str());
 }
 
+TEST(RecoveryRun, RestoreRejectsVersionOneSnapshot)
+{
+    // Version-1 snapshots carried the retired scheduler's payload; a
+    // restore must refuse them with the version diagnostic instead of
+    // misparsing the bytes as the ring scheduler's layout.
+    ASSERT_EQ(sim::kCheckpointVersion, 2u);
+    const auto cfg = runConfig("timing", 2);
+    const std::string path = tmpPath("v1.ckpt");
+    {
+        sim::RecoveryRun run(cfg);
+        run.start();
+        for (int k = 0; k < 5; ++k)
+            run.serveOne();
+        ASSERT_EQ(run.saveTo(path), "");
+    }
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8); // u32 version, little-endian, after the 8-byte magic
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, sizeof(v1));
+    f.close();
+
+    sim::RecoveryRun victim(cfg);
+    const std::string err = victim.restoreFrom(path);
+    EXPECT_NE(err.find("version 1, expected 2"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
 TEST(RecoveryRun, RestoreRejectsMismatchedConfiguration)
 {
     const std::string path = tmpPath("mismatch.ckpt");

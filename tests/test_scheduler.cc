@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/oram_scheduler.hh"
+#include <algorithm>
+
+#include "dram/dram_model.hh"
+#include "oram/sharded_device.hh"
+#include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
@@ -18,51 +22,73 @@ using namespace tcoram;
 
 namespace {
 
-/** Fixed-latency device recording the observable stream. */
-class StreamDevice : public timing::OramDeviceIf
-{
-  public:
-    explicit StreamDevice(Cycles lat) : lat_(lat) {}
-    timing::OramCompletion
-    submit(Cycles now, const timing::OramTransaction &txn) override
-    {
-        starts_.push_back(now);
-        sessions_.push_back(txn.sessionId);
-        kinds_.push_back(txn.kind);
-        return {now, now + lat_, 0, 0, 0};
-    }
-    Cycles accessLatency() const override { return lat_; }
-    std::vector<Cycles> starts_;
-    std::vector<std::uint32_t> sessions_;
-    std::vector<timing::OramTransaction::Kind> kinds_;
-
-  private:
-    Cycles lat_;
-};
-
 constexpr Cycles kRate = 500;
-constexpr Cycles kLat = 100;
 
-/** A static-rate enforcer + scheduler harness. */
+oram::OramConfig
+tinyConfig()
+{
+    oram::OramConfig c;
+    c.numBlocks = 1 << 10;
+    c.recursionLevels = 2;
+    c.stashCapacity = 400;
+    return c;
+}
+
+protocol::LeakageParams
+staticParams()
+{
+    protocol::LeakageParams p;
+    p.rateCount = 1; // static rate: 0 ORAM-timing bits
+    return p;
+}
+
+/** A recorded one-shard timing device behind the ring scheduler. */
 struct Harness
 {
-    StreamDevice dev{kLat};
-    timing::RateSet rates{std::vector<Cycles>{kRate}};
-    timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng{42};
+    oram::ShardedOramDevice dev;
+    timing::RateSet rates;
+    timing::EpochSchedule sched;
     timing::RateLearner learner{rates};
-    timing::RateEnforcer enf{dev, rates, sched, learner, kRate};
-    sim::OramScheduler scheduler;
+    sim::RingScheduler scheduler;
 
-    Harness() : scheduler(enf, leakParams())
+    explicit Harness(
+        timing::RateSet r = timing::RateSet(std::vector<Cycles>{kRate}),
+        timing::EpochSchedule e = {Cycles{1} << 30, 2, Cycles{1} << 40},
+        Cycles initial_rate = kRate,
+        const protocol::LeakageParams &params = staticParams())
+        : dev(oram::OramDeviceSpec{}, tinyConfig(), 1, /*route_seed=*/5, mem,
+              rng, /*record=*/true),
+          rates(std::move(r)), sched(e),
+          scheduler(dev, rates, sched, learner, initial_rate, params)
     {
     }
 
-    static protocol::LeakageParams
-    leakParams()
+    /** The observable stream's start cycles. */
+    std::vector<Cycles> starts() const
     {
-        protocol::LeakageParams p;
-        p.rateCount = 1; // static rate: 0 ORAM-timing bits
-        return p;
+        return dev.recorder(0)->startCycles();
+    }
+
+    /** Submit, pumping through backpressure. */
+    void
+    submit(std::uint32_t sid, Cycles arrival, timing::OramTransaction txn)
+    {
+        while (!scheduler.trySubmit(sid, arrival, txn))
+            serve();
+    }
+
+    /** Run to idle and pop the completions in dispatch order. */
+    std::vector<sim::SessionRing::Completion>
+    serve()
+    {
+        scheduler.runUntilIdle();
+        std::vector<sim::SessionRing::Completion> out;
+        sim::SessionRing::Completion c;
+        while (scheduler.lane(0).popCompletion(c))
+            out.push_back(c);
+        return out;
     }
 };
 
@@ -82,32 +108,33 @@ observableStream(std::size_t n_sessions, Cycles horizon)
     // sparse, phase-shifted — the observable stream must not care.
     for (std::size_t s = 0; s < n_sessions; ++s) {
         const Cycles stride = 700 + 400 * s;
-        for (Cycles t = 50 * s; t < horizon / 4; t += stride)
-            h.scheduler.submit(static_cast<std::uint32_t>(s), t,
-                               timing::OramTransaction::real(s * 1000));
+        for (Cycles t = 50 * s; t < horizon / 8; t += stride)
+            h.submit(static_cast<std::uint32_t>(s), t,
+                     timing::OramTransaction::real(s * 1000));
     }
-    h.scheduler.run();
+    h.serve();
     h.scheduler.drainUntil(horizon);
-    return h.dev.starts_;
+    return h.starts();
 }
 
 } // namespace
 
-TEST(OramScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
+TEST(RingScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
 {
     // Horizon far beyond the heaviest backlog's last real completion
-    // (~200 transactions x 600-cycle slots < 150 K), so every session
-    // count drains to the same slot count.
-    const Cycles horizon = 400'000;
+    // (~420 transactions x rate + OLAT slots), so every session count
+    // drains to the same slot count.
+    const Cycles horizon = 800'000;
     const auto one = observableStream(1, horizon);
     const auto three = observableStream(3, horizon);
     const auto eight = observableStream(8, horizon);
 
     // Gaps depend only on the rate: every access starts exactly
     // (rate + OLAT) after the previous start.
+    const Cycles olat = Harness().dev.accessLatency();
     ASSERT_GE(one.size(), 10u);
     for (std::size_t i = 1; i < one.size(); ++i)
-        EXPECT_EQ(one[i] - one[i - 1], kRate + kLat) << "gap " << i;
+        EXPECT_EQ(one[i] - one[i - 1], kRate + olat) << "gap " << i;
 
     // And the stream is identical across session counts: an adversary
     // watching the device cannot tell 1 client from 8.
@@ -115,27 +142,29 @@ TEST(OramScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
     EXPECT_EQ(one, eight);
 }
 
-TEST(OramScheduler, PerSessionFifoAndStatsAreKept)
+TEST(RingScheduler, PerSessionFifoAndStatsAreKept)
 {
     Harness h;
     h.scheduler.openSession(1);
     h.scheduler.openSession(2);
-    h.scheduler.submit(0, 0, timing::OramTransaction::real(10));
-    h.scheduler.submit(0, 10, timing::OramTransaction::real(11));
-    h.scheduler.submit(1, 5, timing::OramTransaction::real(20));
+    h.submit(0, 0, timing::OramTransaction::real(10));
+    h.submit(0, 10, timing::OramTransaction::real(11));
+    h.submit(1, 5, timing::OramTransaction::real(20));
 
     std::vector<std::uint32_t> order;
     std::vector<Cycles> dones;
-    while (auto served = h.scheduler.serveNext()) {
-        order.push_back(served->sessionId);
-        dones.push_back(served->completion.done);
+    for (const auto &c : h.serve()) {
+        order.push_back(c.sessionId);
+        dones.push_back(c.completion.done);
     }
-    // Round-robin from the cursor: s0 (arrival 0), then s1, then s0.
+    // Only s0's head (arrival 0) is eligible for the first slot; then
+    // round-robin in activation order: s1, then s0 again.
     EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 0}));
     // Completions ride consecutive enforced slots.
+    const Cycles olat = h.dev.accessLatency();
     ASSERT_EQ(dones.size(), 3u);
-    EXPECT_EQ(dones[1] - dones[0], kRate + kLat);
-    EXPECT_EQ(dones[2] - dones[1], kRate + kLat);
+    EXPECT_EQ(dones[1] - dones[0], kRate + olat);
+    EXPECT_EQ(dones[2] - dones[1], kRate + olat);
 
     const auto &s0 = h.scheduler.stats(0);
     const auto &s1 = h.scheduler.stats(1);
@@ -147,33 +176,63 @@ TEST(OramScheduler, PerSessionFifoAndStatsAreKept)
     EXPECT_EQ(h.scheduler.fairnessRatio(), 2.0);
 }
 
-TEST(OramScheduler, BackloggedSessionsShareTheDeviceFairly)
+TEST(RingScheduler, BackloggedSessionsShareTheDeviceFairly)
 {
     Harness h;
     const std::size_t n = 6;
     for (std::size_t s = 0; s < n; ++s)
         h.scheduler.openSession(s);
     // Everybody arrives at cycle 0 with the same backlog: round-robin
-    // must serve them in lockstep.
+    // must serve them in lockstep. The scan starts after the cursor
+    // (session 0, activated first), so session 1 opens each round.
     for (int k = 0; k < 20; ++k)
         for (std::size_t s = 0; s < n; ++s)
-            h.scheduler.submit(static_cast<std::uint32_t>(s), 0,
-                               timing::OramTransaction::real(k));
-    h.scheduler.run();
+            h.submit(static_cast<std::uint32_t>(s), 0,
+                     timing::OramTransaction::real(k));
+    const auto done = h.serve();
+    ASSERT_EQ(done.size(), 20 * n);
+    for (std::size_t i = 0; i < done.size(); ++i)
+        EXPECT_EQ(done[i].sessionId, (i + 1) % n) << "serve " << i;
     EXPECT_EQ(h.scheduler.fairnessRatio(), 1.0);
     for (std::size_t s = 0; s < n; ++s)
         EXPECT_EQ(h.scheduler.stats(static_cast<std::uint32_t>(s)).completed,
                   20u);
 }
 
-TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
+TEST(RingScheduler, ClosedLoopStepsRotateThroughEverySession)
 {
-    StreamDevice dev(kLat);
-    timing::RateSet rates(4);
-    timing::EpochSchedule sched(Cycles{1} << 20, 2, Cycles{1} << 40);
-    timing::RateLearner learner(rates);
-    timing::RateEnforcer enf(dev, rates, sched, learner, 1000);
+    // Closed loop, one transaction per step: each session keeps one
+    // request outstanding and resubmits the moment it completes, so
+    // every serve empties a session's queue and re-activates it. The
+    // rotation must still visit every session in turn — a re-joining
+    // session goes to the back of the round, behind the sessions
+    // still waiting, not ahead of the one the cursor fell back to.
+    Harness h;
+    constexpr std::uint32_t n = 5;
+    for (std::uint32_t s = 0; s < n; ++s) {
+        h.scheduler.openSession(s);
+        h.submit(s, 0, timing::OramTransaction::real(s));
+    }
+    std::vector<std::uint32_t> order;
+    while (order.size() < 10 * n && h.scheduler.serveUpTo(1) == 1) {
+        sim::SessionRing::Completion c;
+        while (h.scheduler.lane(0).popCompletion(c)) {
+            order.push_back(c.sessionId);
+            h.submit(c.sessionId, c.completion.done,
+                     timing::OramTransaction::real(c.sessionId));
+        }
+    }
+    ASSERT_EQ(order.size(), 10 * n);
+    for (std::size_t i = n; i < order.size(); ++i)
+        EXPECT_EQ(order[i], order[i - n]) << "serve " << i;
+    for (std::uint32_t s = 0; s < n; ++s)
+        EXPECT_NE(std::find(order.begin(), order.begin() + n, s),
+                  order.begin() + n)
+            << "session " << s << " starved";
+}
 
+TEST(RingScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
+{
     protocol::LeakageParams params;
     params.rateCount = 4;
     params.epochGrowth = 2;
@@ -182,7 +241,9 @@ TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
     const double bits = params.oramTimingBits();
     ASSERT_GT(bits, 0.0);
 
-    sim::OramScheduler scheduler(enf, params);
+    Harness h(timing::RateSet(4), {Cycles{1} << 20, 2, Cycles{1} << 40},
+              1000, params);
+    sim::RingScheduler &scheduler = h.scheduler;
     const auto tight = scheduler.openSession(1, bits / 2.0);
     const auto roomy = scheduler.openSession(2, bits + 8.0);
     const auto open = scheduler.openSession(3); // unlimited
@@ -194,26 +255,24 @@ TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
     ASSERT_NE(scheduler.monitor(), nullptr);
     EXPECT_DOUBLE_EQ(scheduler.monitor()->limit(), bits + 8.0);
 
-    EXPECT_EXIT(scheduler.submit(tight, 0, timing::OramTransaction::real(1)),
+    EXPECT_EXIT((void)scheduler.trySubmit(tight, 0,
+                                          timing::OramTransaction::real(1)),
                 ::testing::ExitedWithCode(1), "not admitted");
 }
 
-TEST(OramScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
+TEST(RingScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
 {
     // Admission happens at the paper-constant schedule (32 bits for
     // R4/E4); the run itself uses a scaled epoch schedule, so the
     // admitted 33-bit session's monitor must pin the shared device
     // once the realized decisions approach its budget (§2.1).
-    StreamDevice dev(kLat);
-    timing::RateSet rates(4); // 2 bits per free decision
-    timing::EpochSchedule sched(64, 2, Cycles{1} << 40);
-    timing::RateLearner learner(rates);
-    timing::RateEnforcer enf(dev, rates, sched, learner, 256);
-
     const protocol::LeakageParams params; // paper defaults: 32 bits
     ASSERT_DOUBLE_EQ(params.oramTimingBits(), 32.0);
 
-    sim::OramScheduler scheduler(enf, params);
+    // |R| = 4: 2 bits per free decision.
+    Harness h(timing::RateSet(4), {64, 2, Cycles{1} << 40}, 256, params);
+    sim::RingScheduler &scheduler = h.scheduler;
+    const timing::RateEnforcer &enf = scheduler.shard(0).enforcer();
     scheduler.openSession(1);        // unlimited
     scheduler.openSession(2, 1e6);   // huge
     scheduler.openSession(3, 33.0);  // 16 free decisions — the binding one
@@ -223,8 +282,8 @@ TEST(OramScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
     // scaled schedule crosses 17+ epoch boundaries.
     for (int k = 0; k < 200; ++k)
         for (std::uint32_t s = 0; s < 3; ++s)
-            scheduler.submit(s, k * 700, timing::OramTransaction::real(k));
-    scheduler.run();
+            h.submit(s, k * 700, timing::OramTransaction::real(k));
+    h.serve();
     scheduler.drainUntil(Cycles{12'000'000});
 
     ASSERT_GT(enf.currentEpoch(), 16u);

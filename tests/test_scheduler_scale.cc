@@ -4,23 +4,26 @@
  * backpressure, lane-monotonic token/fence retirement, the
  * N-thread == 1-thread bit-identity contract of the phased-round
  * RingScheduler (per-shard observable streams, session stats, CSV
- * rows), stream equality against the legacy OramScheduler, QoS
- * dispatch-policy semantics and their stream-invariance, and the
- * nearest-rank latency percentile against a fully-sorted reference.
+ * rows), the observable streams pinned from the retired dense
+ * scheduler, fault-injected shards and checkpoint kill/restore through
+ * the ring, QoS dispatch-policy semantics and their stream-invariance,
+ * and the nearest-rank latency percentile against a fully-sorted
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "dram/dram_model.hh"
+#include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/session_ring.hh"
 #include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
@@ -120,6 +123,8 @@ struct RingResult
     std::vector<sim::SessionRing::Completion> completions;
     std::vector<std::uint64_t> fences;
     std::uint64_t evictions = 0;
+    std::vector<Cycles> lastPerShard;
+    std::vector<unsigned> epochs;
 };
 
 std::vector<Cycles>
@@ -195,6 +200,10 @@ runRing(const RingSetup &setup)
     for (std::size_t l = 0; l < setup.lanes; ++l)
         r.fences.push_back(rs.lane(l).retiredFence());
     r.evictions = dev.evictionsIssued();
+    for (std::uint32_t i = 0; i < setup.shards; ++i) {
+        r.lastPerShard.push_back(rs.shard(i).enforcer().lastCompletion());
+        r.epochs.push_back(rs.shard(i).enforcer().currentEpoch());
+    }
     return r;
 }
 
@@ -222,57 +231,40 @@ expectSameRun(const RingResult &a, const RingResult &b, const char *what)
     }
 }
 
-/** The legacy scheduler run over the same workload and device setup. */
-struct LegacyResult
+/** FNV-1a over the little-endian bytes of a cycle sequence — the
+ *  digest the pinned streams below were recorded with. */
+std::uint64_t
+digest(const std::vector<Cycles> &v)
 {
-    std::vector<std::vector<Cycles>> streams;
-    std::vector<StatsTuple> stats;
-    std::vector<Cycles> lastPerShard;
-    std::vector<std::uint32_t> epochs;
-    std::uint64_t real = 0;
-    std::uint64_t dummy = 0;
-    std::vector<std::vector<Cycles>> latencies; ///< per sid, serve order
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Cycles c : v)
+        for (int i = 0; i < 8; ++i) {
+            h ^= (c >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    return h;
+}
+
+/** One shard's pinned observable stream and enforcer end state. */
+struct ShardPin
+{
+    std::size_t length;
+    std::uint64_t digest;
+    Cycles lastCompletion;
+    unsigned epochs;
 };
 
-LegacyResult
-runLegacy(std::uint32_t shards, bool dynamic, std::size_t sessions,
-          std::uint64_t seed)
+void
+expectShardPins(const RingResult &r, const std::vector<ShardPin> &pins)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(11);
-    oram::OramDeviceSpec inner; // timing
-    oram::ShardedOramDevice dev(inner, tinyConfig(), shards,
-                                /*route_seed=*/5, mem, rng,
-                                /*record=*/true);
-    const timing::RateSet rates{ringRates(dynamic)};
-    const timing::EpochSchedule sched{dynamic ? Cycles{1} << 14
-                                              : Cycles{1} << 30,
-                                      2, Cycles{1} << 40};
-    const timing::RateLearner learner{rates};
-    sim::OramScheduler s(dev, rates, sched, learner, dynamic ? 3200 : 500,
-                         leakParams(rates.size()));
-
-    LegacyResult r;
-    r.latencies.resize(sessions);
-    for (std::uint32_t sid = 0; sid < sessions; ++sid)
-        s.openSession(100 + sid);
-    for (const auto &a : makeWorkload(sessions, seed))
-        s.submit(a.sid, a.at, timing::OramTransaction::real(a.block));
-    while (auto served = s.serveNext())
-        r.latencies[served->sessionId].push_back(served->completion.done -
-                                                 served->arrival);
-    s.drainUntil(kDrainHorizon);
-
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        r.streams.push_back(dev.recorder(i)->startCycles());
-        r.lastPerShard.push_back(s.shard(i).enforcer().lastCompletion());
-        r.epochs.push_back(s.shard(i).enforcer().currentEpoch());
+    ASSERT_EQ(r.streams.size(), pins.size());
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        EXPECT_EQ(r.streams[i].size(), pins[i].length) << "shard " << i;
+        EXPECT_EQ(digest(r.streams[i]), pins[i].digest) << "shard " << i;
+        EXPECT_EQ(r.lastPerShard[i], pins[i].lastCompletion)
+            << "shard " << i;
+        EXPECT_EQ(r.epochs[i], pins[i].epochs) << "shard " << i;
     }
-    for (std::uint32_t sid = 0; sid < sessions; ++sid)
-        r.stats.push_back(statsOf(s.stats(sid), shards == 1));
-    r.real = dev.realAccesses();
-    r.dummy = dev.dummyAccesses();
-    return r;
 }
 
 /** Nearest-rank quantile over a fully sorted copy — the reference the
@@ -492,8 +484,8 @@ TEST(RingScheduler, WorkerCountIsBitIdentical)
 TEST(RingScheduler, EvictionEngineKeepsWorkerCountBitIdentical)
 {
     // The background eviction engine must not break the N == 1 worker
-    // contract: evictions fire at identical sequence points on the
-    // bounded and unbounded enforcer paths, so the per-shard streams,
+    // contract: evictions fire after every completion whoever applies
+    // the epoch transitions, so the per-shard streams,
     // stats and eviction counts stay a pure function of the submission
     // sequence. Pipelined mode is required (evictions retire deferred
     // write-back tails); the dynamic schedule exercises the
@@ -649,67 +641,356 @@ TEST(RingScheduler, PopOneResubmitBackpressureStaysInWindow)
     }
 }
 
-// --- equality with the legacy scheduler ---
+// --- streams pinned from the retired dense scheduler ---
+//
+// These values were recorded from the session-index round-robin
+// scheduler the ring scheduler replaced, on the same workload and
+// device setup. The ring engine must reproduce them exactly.
 
-TEST(RingScheduler, MatchesLegacySchedulerStreamUnderStaticRate)
+TEST(RingScheduler, ReproducesPinnedStreamUnderStaticRate)
 {
     // |R| = 1 closes the decision channel, so the per-shard observable
-    // streams of the two engines must be identical whatever their
-    // internal dispatch order. (Session ATTRIBUTION may differ: the
-    // legacy core scans session ids, the scaled core scans the
-    // activation ring — both round-robin, different tie-breaks.)
-    for (const std::uint32_t shards : {1u, 4u}) {
-        const LegacyResult legacy = runLegacy(shards, false, 5, 3);
+    // streams are independent of the dispatch order. (Session
+    // ATTRIBUTION may differ from the retired engine: it scanned
+    // session ids, the ring scans the activation list.)
+    const std::vector<std::pair<std::uint32_t, std::vector<ShardPin>>>
+        cases = {
+            {1, {{267, 0x5cd14bf8b8338654ull, 261660, 0}}},
+            {4,
+             {{310, 0xf17b64aae35fcf99ull, 261950, 0},
+              {347, 0x4d7260bd6e2ad116ull, 261985, 0},
+              {335, 0x27a6703483228c40ull, 262305, 0},
+              {301, 0xc753e38296342105ull, 262472, 0}}},
+        };
+    for (const auto &[shards, pins] : cases) {
         RingSetup s;
         s.shards = shards;
         s.sessions = 5;
         s.seed = 3;
         const RingResult ring = runRing(s);
-
-        EXPECT_EQ(ring.streams, legacy.streams) << "shards=" << shards;
-        std::uint64_t legacy_total = 0, ring_total = 0;
-        for (const auto &st : legacy.stats)
-            legacy_total += std::get<1>(st);
-        for (const auto &st : ring.stats)
-            ring_total += std::get<1>(st);
-        EXPECT_EQ(ring_total, legacy_total) << "shards=" << shards;
-        for (std::uint32_t i = 0; i < shards; ++i)
-            EXPECT_EQ(ring.streams[i].size(), legacy.streams[i].size());
+        expectShardPins(ring, pins);
+        EXPECT_EQ(ring.served, 166u) << "shards=" << shards;
     }
 }
 
-TEST(RingScheduler, MatchesLegacySchedulerExactlyForOneSessionDynamic)
+TEST(RingScheduler, ReproducesPinnedOneSessionDynamicRun)
 {
-    // With one session, dispatch is FIFO in both engines: the bounded
-    // serve must replay the legacy enforcer sequence exactly — streams,
-    // epoch counts, stats, and the latency samples themselves.
-    for (const std::uint32_t shards : {1u, 4u}) {
-        const LegacyResult legacy = runLegacy(shards, true, 1, 9);
+    // With one session, dispatch is FIFO: the bounded serve must
+    // replay the pinned enforcer sequence exactly — streams, epoch
+    // counts, stats, and the latency samples themselves.
+    struct Case
+    {
+        std::uint32_t shards;
+        std::vector<ShardPin> pins;
+        StatsTuple stats;
+        std::uint64_t latencyDigest; ///< over the sorted samples
+    };
+    const std::vector<Case> cases = {
+        {1,
+         {{158, 0x7a8e8c7a95932112ull, 262240, 4}},
+         {18, 18, 0, 29680, 80460, 71820, 9620},
+         0x391a9f6abcf7001cull},
+        {4,
+         {{82, 0xecb6bf8d75b5c1b9ull, 261890, 4},
+          {98, 0x61e49d95d6667e88ull, 259390, 4},
+          {75, 0xd0efd9ff482a7470ull, 261225, 4},
+          {88, 0xe84e57b6a156b8a2ull, 259936, 4}},
+         // lastCompletion not pinned at M > 1: the retired engine kept
+         // the LAST-SERVED completion cycle (global dispatch order),
+         // the ring scheduler keeps the max.
+         {18, 18, 0, 0, 49045, 43370, 4604},
+         0xfaee2c5e9c7f9fb5ull},
+    };
+    for (const Case &c : cases) {
         RingSetup s;
-        s.shards = shards;
+        s.shards = c.shards;
         s.dynamic = true;
         s.sessions = 1;
         s.seed = 9;
         const RingResult ring = runRing(s);
+        expectShardPins(ring, c.pins);
 
-        EXPECT_EQ(ring.streams, legacy.streams) << "shards=" << shards;
-        // lastCompletion is excluded for M > 1: the legacy scheduler
-        // keeps the LAST-SERVED completion cycle (global dispatch
-        // order), the ring scheduler the max — only equal at M = 1.
         ASSERT_EQ(ring.stats.size(), 1u);
         auto got = ring.stats[0];
-        if (shards > 1)
+        if (c.shards > 1)
             std::get<3>(got) = 0;
-        EXPECT_EQ(got, legacy.stats[0]) << "shards=" << shards;
+        EXPECT_EQ(got, c.stats) << "shards=" << c.shards;
 
-        std::vector<Cycles> ring_samples;
-        for (const auto &c : ring.completions)
-            ring_samples.push_back(c.completion.done - c.arrival);
-        std::vector<Cycles> legacy_samples = legacy.latencies[0];
-        std::sort(ring_samples.begin(), ring_samples.end());
-        std::sort(legacy_samples.begin(), legacy_samples.end());
-        EXPECT_EQ(ring_samples, legacy_samples) << "shards=" << shards;
+        std::vector<Cycles> samples;
+        for (const auto &done : ring.completions)
+            samples.push_back(done.completion.done - done.arrival);
+        std::sort(samples.begin(), samples.end());
+        EXPECT_EQ(samples.size(), 18u);
+        EXPECT_EQ(digest(samples), c.latencyDigest)
+            << "shards=" << c.shards;
     }
+}
+
+// --- faults and checkpoints ---
+
+namespace {
+
+/** A functional 2-shard ring run with an optional fault model. */
+struct FaultRun
+{
+    std::vector<std::vector<Cycles>> streams;
+    std::string csv;
+    std::uint64_t recoverySlots = 0;
+    std::uint64_t faultsDetected = 0;
+};
+
+FaultRun
+runFaulty(const std::string &fault, unsigned threads)
+{
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng(11);
+    oram::OramDeviceSpec inner;
+    inner.kind = "functional";
+    inner.functionalBlockCap = 256;
+    inner.keySeed = 77;
+    if (!fault.empty())
+        inner.fault = dram::FaultSpec::parse(fault);
+    oram::ShardedOramDevice dev(inner, tinyConfig(), /*shards=*/2,
+                                /*route_seed=*/5, mem, rng,
+                                /*record=*/true);
+    const timing::RateSet rates{std::vector<Cycles>{700}};
+    const timing::EpochSchedule sched{Cycles{1} << 12, 2, Cycles{1} << 40};
+    const timing::RateLearner learner{rates};
+    sim::RingScheduler::Options o;
+    o.lanes = 4;
+    o.threads = threads;
+    sim::RingScheduler rs(dev, rates, sched, learner, 700, leakParams(1),
+                          o);
+    for (std::uint32_t sid = 0; sid < 8; ++sid)
+        rs.openSession(100 + sid, sid == 0 ? 64.0 : -1.0,
+                       static_cast<std::uint16_t>(sid % 4));
+    // Open-loop backlog with a mid-run refill: the refill's arrivals
+    // land after an idle stretch, so recovery slots must share the
+    // grid with idle dummies and with epoch boundaries.
+    for (std::uint64_t k = 0; k < 12; ++k)
+        for (std::uint32_t sid = 0; sid < 8; ++sid)
+            EXPECT_TRUE(rs.trySubmit(sid, k,
+                                     timing::OramTransaction::real(
+                                         sid * 131 + k * 17, k % 3 == 0))
+                            .has_value());
+    const Cycles mid = rs.runUntilIdle();
+    auto drain = [&] {
+        sim::SessionRing::Completion c;
+        for (std::size_t l = 0; l < 4; ++l)
+            while (rs.lane(l).popCompletion(c)) {
+            }
+    };
+    drain();
+    rs.drainUntil(mid + 20'000);
+    for (std::uint64_t k = 0; k < 6; ++k)
+        for (std::uint32_t sid = 0; sid < 8; ++sid)
+            EXPECT_TRUE(rs.trySubmit(sid, mid + 20'000 + k,
+                                     timing::OramTransaction::real(
+                                         sid * 131 + k * 29, k % 2 == 0))
+                            .has_value());
+    const Cycles last = rs.runUntilIdle();
+    drain();
+    rs.drainUntil(last + 8 * (700 + dev.accessLatency()));
+
+    FaultRun r;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        r.streams.push_back(dev.recorder(i)->startCycles());
+        const auto &c = rs.shard(i).enforcer().counters();
+        r.recoverySlots += c.recoverySlots();
+        r.faultsDetected += c.faultsDetected();
+    }
+    r.csv = rs.csv();
+    return r;
+}
+
+} // namespace
+
+TEST(RingScheduler, FaultInjectedShardsStayWorkerCountBlindAndLeakFree)
+{
+    // Functional shards over a flipping datapath: retried accesses owe
+    // exponential-backoff slots that the bounded enforcer pays on the
+    // slot grid, across epoch boundaries, at the barrier discipline.
+    const FaultRun one = runFaulty("flip@2e-2#9", 1);
+    const FaultRun four = runFaulty("flip@2e-2#9", 4);
+    EXPECT_EQ(one.streams, four.streams);
+    EXPECT_EQ(one.csv, four.csv);
+    EXPECT_GT(one.faultsDetected, 0u);
+    EXPECT_GT(one.recoverySlots, 0u);
+    EXPECT_EQ(one.recoverySlots, four.recoverySlots);
+
+    // Leak-free charging: recovery slots extend the stream but never
+    // move a slot — the start cycles equal the fault-free run's over
+    // the common prefix.
+    const FaultRun clean = runFaulty("", 1);
+    EXPECT_EQ(clean.recoverySlots, 0u);
+    for (std::size_t i = 0; i < clean.streams.size(); ++i) {
+        const std::size_t n =
+            std::min(clean.streams[i].size(), one.streams[i].size());
+        ASSERT_GT(n, 10u) << "shard " << i;
+        for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(one.streams[i][j], clean.streams[i][j])
+                << "shard " << i << " event " << j;
+    }
+}
+
+namespace {
+
+/** Everything a ring kill/restore must reproduce. */
+struct CheckpointRun
+{
+    std::vector<std::vector<Cycles>> streams;
+    std::vector<StatsTuple> stats;
+    std::string csv;
+    std::uint64_t served = 0;
+    std::vector<std::uint64_t> fences;
+    std::vector<std::uint64_t> tokens;
+
+    bool
+    operator==(const CheckpointRun &o) const
+    {
+        return streams == o.streams && stats == o.stats && csv == o.csv &&
+               served == o.served && fences == o.fences &&
+               tokens == o.tokens;
+    }
+};
+
+/**
+ * A dynamic-rate, wrr-dispatched 4-shard timing run over two lanes,
+ * with a finite session budget so the monitor ledger is live. Half the
+ * workload is queued, exactly @p kill_at transactions are served, and
+ * with @p restart the device + scheduler are snapshotted and a FRESH
+ * stack is restored from the bytes; then the second half is queued
+ * (re-activating sessions mid-backlog) and everything is served.
+ */
+CheckpointRun
+runCheckpointed(std::uint64_t kill_at, bool restart)
+{
+    struct Stack
+    {
+        dram::DramModel mem{dram::DramConfig{}};
+        Rng rng{11};
+        oram::ShardedOramDevice dev{oram::OramDeviceSpec{}, tinyConfig(), 4,
+                                    /*route_seed=*/5, mem, rng,
+                                    /*record=*/true};
+        timing::RateSet rates{ringRates(true)};
+        timing::EpochSchedule sched{Cycles{1} << 14, 2, Cycles{1} << 40};
+        timing::RateLearner learner{rates};
+        sim::RingScheduler rs;
+
+        Stack()
+            : rs(dev, rates, sched, learner, 3200, leakParams(4), options())
+        {
+            for (std::uint32_t sid = 0; sid < 6; ++sid)
+                rs.openSession(100 + sid, sid == 1 ? 1e6 : -1.0,
+                               static_cast<std::uint16_t>(sid % 2),
+                               static_cast<std::uint16_t>(1 + sid % 3));
+        }
+
+        static sim::RingScheduler::Options
+        options()
+        {
+            sim::RingScheduler::Options o;
+            o.lanes = 2;
+            o.policy = timing::DispatchPolicyKind::WeightedRoundRobin;
+            return o;
+        }
+
+        void
+        popAll()
+        {
+            sim::SessionRing::Completion c;
+            for (std::size_t l = 0; l < 2; ++l)
+                while (rs.lane(l).popCompletion(c)) {
+                }
+        }
+    };
+
+    const auto work = makeWorkload(6, 4);
+    const std::size_t half = work.size() / 2;
+    auto submit = [&](Stack &st, std::size_t from, std::size_t to) {
+        for (std::size_t i = from; i < to; ++i)
+            EXPECT_TRUE(st.rs
+                            .trySubmit(work[i].sid, work[i].at,
+                                       timing::OramTransaction::real(
+                                           work[i].block))
+                            .has_value());
+    };
+
+    auto run = std::make_unique<Stack>();
+    submit(*run, 0, half);
+    EXPECT_EQ(run->rs.serveUpTo(kill_at), kill_at);
+    run->popAll();
+    if (restart) {
+        ByteWriter w;
+        run->dev.saveState(w);
+        run->rs.saveState(w);
+        run = std::make_unique<Stack>(); // the "crash" and the restart
+        ByteReader r(w.data());
+        run->dev.restoreState(r);
+        run->rs.restoreState(r);
+        EXPECT_TRUE(r.atEnd());
+    }
+    submit(*run, half, work.size());
+    run->rs.runUntilIdle();
+    run->popAll();
+    run->rs.drainUntil(kDrainHorizon);
+
+    CheckpointRun out;
+    for (std::uint32_t i = 0; i < 4; ++i)
+        out.streams.push_back(run->dev.recorder(i)->startCycles());
+    for (std::uint32_t sid = 0; sid < 6; ++sid)
+        out.stats.push_back(statsOf(run->rs.stats(sid), true));
+    out.csv = run->rs.csv();
+    out.served = run->rs.servedTotal();
+    for (std::size_t l = 0; l < 2; ++l) {
+        out.fences.push_back(run->rs.lane(l).retiredFence());
+        out.tokens.push_back(run->rs.lane(l).submitted());
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(RingScheduler, KillRestoreReplaysTheUninterruptedRun)
+{
+    for (const std::uint64_t kill_at : {1ull, 17ull, 41ull}) {
+        const CheckpointRun golden = runCheckpointed(kill_at, false);
+        const CheckpointRun resumed = runCheckpointed(kill_at, true);
+        ASSERT_GT(golden.served, 2 * kill_at);
+        EXPECT_EQ(golden.fences, golden.tokens) << "every token retires";
+        EXPECT_TRUE(resumed == golden) << "kill_at " << kill_at;
+        EXPECT_EQ(resumed.fences, golden.fences) << "kill_at " << kill_at;
+        EXPECT_EQ(resumed.stats, golden.stats) << "kill_at " << kill_at;
+    }
+}
+
+TEST(RingScheduler, CheckpointRequiresAQuiescentRoundBoundary)
+{
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng(11);
+    oram::ShardedOramDevice dev(oram::OramDeviceSpec{}, tinyConfig(), 2, 5,
+                                mem, rng);
+    const timing::RateSet rates{std::vector<Cycles>{500}};
+    const timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
+    const timing::RateLearner learner{rates};
+    sim::RingScheduler rs(dev, rates, sched, learner, 500, leakParams(1));
+    rs.openSession(1);
+    ASSERT_TRUE(rs.trySubmit(0, 0, timing::OramTransaction::real(3)));
+    // A ringed submission is not yet part of any shard queue.
+    EXPECT_DEATH(
+        {
+            ByteWriter w;
+            rs.saveState(w);
+        },
+        "empty");
+    rs.serveUpTo(1);
+    // An unpopped completion would be lost across the restart.
+    EXPECT_DEATH(
+        {
+            ByteWriter w;
+            rs.saveState(w);
+        },
+        "empty");
 }
 
 // --- QoS dispatch ---
@@ -805,44 +1086,58 @@ TEST(RingScheduler, EarliestDeadlineServesTightestOffsetFirst)
 
 // --- latency percentiles ---
 
-TEST(LatencyPercentile, MatchesSortedNearestRankReference)
+TEST(LatencyPercentile, PinnedQuantilesOverTheDenseSchedulerStreams)
 {
-    // Legacy scheduler: recompute every session's samples from the
-    // serve loop and check nth_element against the fully-sorted
-    // reference at every quantile — twice, because the reused scratch
-    // must not disturb the samples.
+    // Three sessions under the dynamic 4-shard rate. The per-shard
+    // streams equal the retired dense scheduler's (pinned digests);
+    // the per-session quantiles are re-derived for activation-list
+    // round-robin, which attributes some slots to a different session
+    // than session-index round-robin. Checked at every quantile —
+    // twice, because the reused scratch must not disturb the samples.
     const std::uint32_t shards = 4;
+    const std::size_t sessions = 3;
+    const std::vector<std::vector<Cycles>> pinned = {
+        {283, 283, 3532, 8072, 9611, 13279, 14645, 14645},
+        {530, 530, 3288, 5222, 8255, 12685, 13110, 13110},
+        {330, 330, 1295, 4535, 8556, 9040, 10008, 10008},
+    };
+    const std::vector<std::pair<std::size_t, std::uint64_t>> streams = {
+        {24, 0xe9061cf0109f991cull},
+        {29, 0xf0939ae017e5c399ull},
+        {18, 0x01f722ed5f4189a0ull},
+        {29, 0x07cac43aa70f72d0ull},
+    };
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(11);
     oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice dev(inner, tinyConfig(), shards, 5, mem, rng);
+    oram::ShardedOramDevice dev(inner, tinyConfig(), shards, 5, mem, rng,
+                                /*record=*/true);
     const timing::RateSet rates{ringRates(true)};
     const timing::EpochSchedule sched{Cycles{1} << 14, 2, Cycles{1} << 40};
     const timing::RateLearner learner{rates};
-    sim::OramScheduler s(dev, rates, sched, learner, 3200, leakParams(4));
-
-    const std::size_t sessions = 3;
-    std::vector<std::vector<Cycles>> samples(sessions);
+    sim::RingScheduler s(dev, rates, sched, learner, 3200, leakParams(4));
     for (std::uint32_t sid = 0; sid < sessions; ++sid)
         s.openSession(100 + sid);
     for (const auto &a : makeWorkload(sessions, 6))
-        s.submit(a.sid, a.at, timing::OramTransaction::real(a.block));
-    while (auto served = s.serveNext())
-        samples[served->sessionId].push_back(served->completion.done -
-                                             served->arrival);
+        ASSERT_TRUE(
+            s.trySubmit(a.sid, a.at, timing::OramTransaction::real(a.block))
+                .has_value());
+    s.runUntilIdle();
 
+    for (std::uint32_t i = 0; i < shards; ++i) {
+        const auto st = dev.recorder(i)->startCycles();
+        EXPECT_EQ(st.size(), streams[i].first) << "shard " << i;
+        EXPECT_EQ(digest(st), streams[i].second) << "shard " << i;
+    }
     for (std::uint32_t sid = 0; sid < sessions; ++sid) {
-        ASSERT_GT(samples[sid].size(), 10u);
-        for (const double q : kQuantiles) {
-            const Cycles want = sortedReference(samples[sid], q);
-            EXPECT_EQ(s.latencyPercentile(sid, q), want)
+        for (std::size_t i = 0; i < std::size(kQuantiles); ++i) {
+            const double q = kQuantiles[i];
+            EXPECT_EQ(s.latencyPercentile(sid, q), pinned[sid][i])
                 << "sid " << sid << " q " << q;
-            EXPECT_EQ(s.latencyPercentile(sid, q), want)
+            EXPECT_EQ(s.latencyPercentile(sid, q), pinned[sid][i])
                 << "repeat must not disturb the samples, sid " << sid;
         }
     }
-    EXPECT_EQ(s.latencyPercentile(0, 0.5),
-              sortedReference(samples[0], 0.5));
 }
 
 TEST(LatencyPercentile, RingSchedulerAgreesWithItsOwnCompletions)
