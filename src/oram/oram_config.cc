@@ -1,36 +1,8 @@
 #include "oram/oram_config.hh"
 
 #include "common/bitutils.hh"
-#include "common/log.hh"
 
 namespace tcoram::oram {
-
-unsigned
-OramConfig::treeDepth() const
-{
-    // Leaves chosen so that capacity ~= Z * buckets / 2 holds blocks
-    // comfortably: leaves = max(1, numBlocks / Z) rounded to pow2.
-    const std::uint64_t want = numBlocks / z ? numBlocks / z : 1;
-    return ceilLog2(roundUpPow2(want));
-}
-
-std::uint64_t
-OramConfig::numLeaves() const
-{
-    return std::uint64_t{1} << treeDepth();
-}
-
-std::uint64_t
-OramConfig::numBuckets() const
-{
-    return (std::uint64_t{1} << (treeDepth() + 1)) - 1;
-}
-
-std::uint64_t
-OramConfig::bucketBytes() const
-{
-    return static_cast<std::uint64_t>(z) * (blockBytes + headerBytes);
-}
 
 std::uint64_t
 OramConfig::pathBytes() const

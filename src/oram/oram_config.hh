@@ -5,6 +5,11 @@
  * with 32 B recursive blocks. Capacity is configurable: benches use a
  * scaled-down tree, while paperConfig() reproduces the 4 GB ORAM whose
  * path moves 24.2 KB per access.
+ *
+ * OramConfig is a plain aggregate: the geometry accessors derive every
+ * figure from the fields on each call, so a caller that edits a field
+ * never sees a stale depth. They are defined inline here because the
+ * datapath evaluates them on every path walk.
  */
 
 #ifndef TCORAM_ORAM_ORAM_CONFIG_HH
@@ -13,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/types.hh"
 
 namespace tcoram::oram {
@@ -34,14 +40,40 @@ struct OramConfig
     /** Stash capacity in blocks (excluding the transient path). */
     std::size_t stashCapacity = 200;
 
-    /** Tree depth: number of levels is depth+1, leaves = 2^depth. */
-    unsigned treeDepth() const;
+    /**
+     * Tree depth: number of levels is depth+1, leaves = 2^depth.
+     * Leaves are chosen so that capacity ~= Z * buckets / 2 holds the
+     * blocks comfortably: leaves = max(1, numBlocks / Z) rounded up to
+     * a power of two.
+     */
+    unsigned
+    treeDepth() const
+    {
+        const std::uint64_t want = numBlocks / z ? numBlocks / z : 1;
+        return ceilLog2(roundUpPow2(want));
+    }
+
     /** Total buckets in the tree. */
-    std::uint64_t numBuckets() const;
+    std::uint64_t
+    numBuckets() const
+    {
+        return (std::uint64_t{1} << (treeDepth() + 1)) - 1;
+    }
+
     /** Leaves in the tree. */
-    std::uint64_t numLeaves() const;
+    std::uint64_t
+    numLeaves() const
+    {
+        return std::uint64_t{1} << treeDepth();
+    }
+
     /** Serialized bucket size in bytes (plaintext payload). */
-    std::uint64_t bucketBytes() const;
+    std::uint64_t
+    bucketBytes() const
+    {
+        return static_cast<std::uint64_t>(z) * (blockBytes + headerBytes);
+    }
+
     /** Bytes read (or written) for one path access of this tree. */
     std::uint64_t pathBytes() const;
 

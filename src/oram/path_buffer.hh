@@ -1,13 +1,13 @@
 /**
  * @file
  * Per-ORAM-instance scratch arena. Every buffer a path access needs —
- * the per-level plaintext buckets, the contiguous serialized-path
- * arena the batched CTR engine reads/writes, the CTR segment and
- * nonce scratch, the eviction sweep's level buckets, and the
- * physical-transaction trace — is allocated once here and reused, so
- * steady-state PathOram::access()/dummyAccess() perform zero heap
- * allocations. The stash's slot pool (oram/stash.hh) is the remaining
- * piece of the arena discipline.
+ * the path's bucket indices, the per-level plaintext buckets, the
+ * contiguous serialized-path arena the batched CTR engine reads/writes,
+ * the CTR segment and nonce scratch, the eviction sweep's level
+ * buckets, and the physical-transaction trace — is allocated once here
+ * and reused, so steady-state PathOram::access()/dummyAccess() perform
+ * zero heap allocations. The stash's slot pool (oram/stash.hh) is the
+ * remaining piece of the arena discipline.
  */
 
 #ifndef TCORAM_ORAM_PATH_BUFFER_HH
@@ -77,6 +77,7 @@ struct PathBuffer
         levelBuckets.reserve(levels);
         for (unsigned l = 0; l < levels; ++l)
             levelBuckets.emplace_back(z, block_bytes);
+        pathIdx.resize(levels);
         segments.reserve(levels);
         nonces.resize(levels);
         levelCount.resize(levels);
@@ -92,6 +93,11 @@ struct PathBuffer
     std::vector<std::uint8_t> plain;  ///< serialized one-bucket scratch
     std::vector<std::uint8_t> pathPlain; ///< whole-path plaintext arena
     std::vector<Bucket> levelBuckets; ///< plaintext bucket per level
+
+    /** Bucket index per level of the path being accessed, walked once
+     *  by the read and reused by the write-back and the tag commit. */
+    std::vector<std::uint64_t> pathIdx;
+    Leaf pathLeaf = 0; ///< leaf pathIdx was walked for
 
     /** CTR segment list for the whole-path batched crypto call. */
     std::vector<crypto::CtrSegment> segments;

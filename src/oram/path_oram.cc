@@ -16,6 +16,36 @@ namespace {
 constexpr std::size_t kInitBatch = 256;
 /** Leaf labels drawn per batched PRF call (position-map remapping). */
 constexpr std::size_t kLeafBatch = 32;
+/** Host cache-line size the path prefetch steps by. */
+constexpr std::uintptr_t kCacheLine = 64;
+
+/** Hint the host to start loading [@p p, @p p + @p n) into cache. */
+void
+prefetchRange(const void *p, std::size_t n)
+{
+    if (n == 0)
+        return;
+    const std::uintptr_t first =
+        reinterpret_cast<std::uintptr_t>(p) & ~(kCacheLine - 1);
+    const std::uintptr_t last = reinterpret_cast<std::uintptr_t>(p) + n - 1;
+    for (std::uintptr_t a = first; a <= last; a += kCacheLine)
+        __builtin_prefetch(reinterpret_cast<const void *>(a));
+}
+
+/**
+ * Deepest level on the path to @p leaf (tree depth @p depth) where a
+ * block mapped to @p block_leaf may live: the length of the common
+ * prefix of the two leaf labels, i.e. depth minus the bit width of
+ * their XOR.
+ */
+int
+deepestLegalLevel(unsigned depth, Leaf leaf, Leaf block_leaf)
+{
+    const std::uint64_t x = leaf ^ block_leaf;
+    if (x == 0)
+        return static_cast<int>(depth);
+    return static_cast<int>(depth) - static_cast<int>(std::bit_width(x));
+}
 } // namespace
 
 PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
@@ -80,17 +110,46 @@ PathOram::~PathOram() = default;
 std::uint64_t
 PathOram::bucketIndexOnPath(Leaf leaf, unsigned level) const
 {
-    tcoram_assert(level <= cfg_.treeDepth(), "level beyond tree depth");
+    const unsigned depth = cfg_.treeDepth();
+    tcoram_assert(level <= depth, "level beyond tree depth");
     tcoram_assert(leaf < cfg_.numLeaves(), "leaf out of range");
     // Heap numbering: root = 0; the path to `leaf` follows the leaf's
     // bits from the most significant (below the root) downward.
     std::uint64_t idx = 0;
-    for (unsigned l = 0; l < level; ++l) {
-        const std::uint64_t bit =
-            (leaf >> (cfg_.treeDepth() - 1 - l)) & 1;
-        idx = 2 * idx + 1 + bit;
-    }
+    for (unsigned l = 0; l < level; ++l)
+        idx = 2 * idx + 1 + ((leaf >> (depth - 1 - l)) & 1);
     return idx;
+}
+
+void
+PathOram::walkPath(Leaf leaf)
+{
+    // bucketIndexOnPath for every level in ONE walk: level l's index
+    // extends level l-1's by the leaf's next bit.
+    const unsigned depth = cfg_.treeDepth();
+    tcoram_assert(leaf < cfg_.numLeaves(), "leaf out of range");
+    std::uint64_t idx = 0;
+    buf_.pathIdx[0] = 0;
+    for (unsigned l = 1; l <= depth; ++l) {
+        idx = 2 * idx + 1 + ((leaf >> (depth - l)) & 1);
+        buf_.pathIdx[l] = idx;
+    }
+    buf_.pathLeaf = leaf;
+}
+
+void
+PathOram::prefetchPath() const
+{
+    // The path's buckets are scattered across a tree far larger than
+    // the host caches. Touching them one by one (as the segment build
+    // and the CTR pass do) serializes ~levels cold misses; issuing
+    // every level's Ciphertext header first, then every level's data
+    // lines, lets the misses overlap. Pure cache hints: no state or
+    // result depends on them.
+    for (const std::uint64_t idx : buf_.pathIdx)
+        prefetchRange(&dram_[idx], sizeof(crypto::Ciphertext));
+    for (const std::uint64_t idx : buf_.pathIdx)
+        prefetchRange(dram_[idx].data.data(), dram_[idx].data.size());
 }
 
 Addr
@@ -153,16 +212,19 @@ PathOram::readPath(Leaf leaf)
         verifiedReadPath(leaf);
         return;
     }
-    // Gather every bucket ciphertext on the path, decrypt them all
-    // with ONE batched CTR call into the contiguous path arena, then
-    // decode level by level into the stash.
+    // Walk the path once and start every bucket's cache misses, then
+    // gather the on-path ciphertexts, decrypt them all with ONE
+    // batched CTR call into the contiguous path arena, and decode
+    // level by level into the stash.
+    walkPath(leaf);
+    prefetchPath();
     const unsigned levels = cfg_.treeDepth() + 1;
     const std::uint64_t sb = codec_.serializedBytes();
+    const std::uint64_t bb = cfg_.bucketBytes();
     buf_.segments.clear();
     for (unsigned level = 0; level < levels; ++level) {
-        const std::uint64_t idx = bucketIndexOnPath(leaf, level);
-        buf_.trace.reads.push_back(
-            {bucketAddr(idx), cfg_.bucketBytes(), false});
+        const std::uint64_t idx = buf_.pathIdx[level];
+        buf_.trace.reads.push_back({bucketAddr(idx), bb, false});
         const crypto::Ciphertext &ct = dram_[idx];
         buf_.segments.push_back(
             {ct.nonce, ct.data,
@@ -190,8 +252,11 @@ PathOram::verifiedReadPath(Leaf leaf)
     // decrypt. A mismatch discards the whole copy and re-reads; the
     // retry loop is bounded by the recovery budget, and each re-read
     // appears in the access trace (it moves real DRAM bytes).
+    walkPath(leaf);
+    prefetchPath();
     const unsigned levels = cfg_.treeDepth() + 1;
     const std::uint64_t sb = codec_.serializedBytes();
+    const std::uint64_t bb = cfg_.bucketBytes();
     const unsigned budget = recovery_->retryBudget();
     bool detected_any = false;
     for (unsigned attempt = 0;; ++attempt) {
@@ -199,9 +264,8 @@ PathOram::verifiedReadPath(Leaf leaf)
         bool all_ok = true;
         std::uint64_t bad_idx = 0;
         for (unsigned level = 0; level < levels; ++level) {
-            const std::uint64_t idx = bucketIndexOnPath(leaf, level);
-            buf_.trace.reads.push_back(
-                {bucketAddr(idx), cfg_.bucketBytes(), false});
+            const std::uint64_t idx = buf_.pathIdx[level];
+            buf_.trace.reads.push_back({bucketAddr(idx), bb, false});
             crypto::Ciphertext &copy = readScratch_[level];
             copy.nonce = dram_[idx].nonce;
             tcoram_assert(copy.data.size() == dram_[idx].data.size(),
@@ -250,19 +314,6 @@ PathOram::verifiedReadPath(Leaf leaf)
                 stash_.put(slot);
 }
 
-int
-PathOram::deepestLegalLevel(Leaf leaf, Leaf block_leaf) const
-{
-    // The deepest common level of path(leaf) and path(block_leaf) is
-    // the length of the common prefix of their leaf bits: depth minus
-    // the bit width of the XOR of the two labels.
-    const unsigned depth = cfg_.treeDepth();
-    const std::uint64_t x = leaf ^ block_leaf;
-    if (x == 0)
-        return static_cast<int>(depth);
-    return static_cast<int>(depth) - static_cast<int>(std::bit_width(x));
-}
-
 void
 PathOram::evictIntoLevelBuckets(Leaf leaf)
 {
@@ -283,7 +334,7 @@ PathOram::evictIntoLevelBuckets(Leaf leaf)
     std::fill(buf_.levelCount.begin(), buf_.levelCount.end(), 0u);
     for (std::size_t i = 0; i < n; ++i) {
         const int dl =
-            deepestLegalLevel(leaf, stash_.poolSlot(active[i]).leaf);
+            deepestLegalLevel(depth, leaf, stash_.poolSlot(active[i]).leaf);
         tcoram_assert(dl >= 0 && dl <= static_cast<int>(depth),
                       "deepest legal level out of range");
         buf_.slotLevel[i] = static_cast<std::uint32_t>(dl);
@@ -333,9 +384,12 @@ PathOram::evictIntoLevelBuckets(Leaf leaf)
 void
 PathOram::writePath(Leaf leaf)
 {
-    const unsigned depth = cfg_.treeDepth();
-    const unsigned levels = depth + 1;
+    // The write-back targets the buckets readPath() walked.
+    tcoram_assert(buf_.pathLeaf == leaf,
+                  "write-back leaf differs from the path read");
+    const unsigned levels = cfg_.treeDepth() + 1;
     const std::uint64_t sb = codec_.serializedBytes();
+    const std::uint64_t bb = cfg_.bucketBytes();
 
     evictIntoLevelBuckets(leaf);
     codec_.encodePath(buf_.levelBuckets, buf_.pathPlain);
@@ -352,9 +406,8 @@ PathOram::writePath(Leaf leaf)
     nonceDraws_ += levels;
     buf_.segments.clear();
     for (unsigned l = levels, k = 0; l-- > 0; ++k) {
-        const std::uint64_t idx = bucketIndexOnPath(leaf, l);
-        buf_.trace.writes.push_back(
-            {bucketAddr(idx), cfg_.bucketBytes(), true});
+        const std::uint64_t idx = buf_.pathIdx[l];
+        buf_.trace.writes.push_back({bucketAddr(idx), bb, true});
         crypto::Ciphertext &ct = dram_[idx];
         ct.nonce = buf_.nonces[k];
         tcoram_assert(ct.data.size() == sb, "bucket ciphertext size drift");
@@ -376,12 +429,9 @@ PathOram::writePath(Leaf leaf)
 
     // Written buckets carry fresh nonces and ciphertexts: re-latch
     // their tags (the verified read authenticates against these).
-    if (auth_ != nullptr) {
-        for (unsigned l = 0; l < levels; ++l) {
-            const std::uint64_t idx = bucketIndexOnPath(leaf, l);
+    if (auth_ != nullptr)
+        for (const std::uint64_t idx : buf_.pathIdx)
             auth_->commit(idx, dram_[idx]);
-        }
-    }
 }
 
 std::span<std::uint8_t>
@@ -516,13 +566,13 @@ PathOram::checkInvariant(const std::vector<BlockId> &ids)
     // this tree must land first (see the readPath() self-heal).
     if (batch_ != nullptr && deferEpoch_ == batch_->epoch())
         batch_->flush();
+    const unsigned depth = cfg_.treeDepth();
     for (BlockId id : ids) {
         if (stash_.contains(id))
             continue;
         const Leaf leaf = posMap_.get(id);
         bool found = false;
-        for (unsigned level = 0; level <= cfg_.treeDepth() && !found;
-             ++level) {
+        for (unsigned level = 0; level <= depth && !found; ++level) {
             const std::uint64_t idx = bucketIndexOnPath(leaf, level);
             Bucket b = Bucket::unseal(dram_[idx], cipher_, cfg_.z,
                                       cfg_.blockBytes);

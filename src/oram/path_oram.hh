@@ -30,6 +30,13 @@
  * and buckets the sweep by level instead of rescanning the stash per
  * tree level.
  *
+ * Each path is walked once: the read computes every level's bucket
+ * index into the PathBuffer, and the write-back and the integrity tag
+ * commit reuse that array. Before building its CTR segments the read
+ * prefetches every level's Ciphertext header, then its data lines, so
+ * the path's scattered cold buckets miss in parallel rather than one
+ * after another.
+ *
  * The access itself is phase-split: beginAccess() performs the fused
  * position-map update (PositionMapIf::update — ONE recursive access
  * per stage instead of get's plus set's), reads and decrypts the old
@@ -367,9 +374,13 @@ class PathOram
     void evictIntoLevelBuckets(Leaf leaf);
     /** Fresh uniform leaf from the batched remap cache. */
     Leaf nextLeaf();
-    /** Deepest level on path-to-@p leaf where a block mapped to
-     *  @p block_leaf may live (common-prefix length via XOR). */
-    int deepestLegalLevel(Leaf leaf, Leaf block_leaf) const;
+    /** Fill buf_.pathIdx with every level's bucket index on the path
+     *  to @p leaf in one walk (shared by the read, the write-back and
+     *  the tag commit of that path). */
+    void walkPath(Leaf leaf);
+    /** Issue the loads of every walked bucket's Ciphertext header,
+     *  then its data lines, so the path's misses overlap. */
+    void prefetchPath() const;
 
     OramConfig cfg_;
     PositionMapIf &posMap_;

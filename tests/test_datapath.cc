@@ -6,8 +6,10 @@
  * recursion depths, functional equivalence of the Legacy get/set
  * cascade, the phase-split label helpers (load64le/store64le), the
  * fused FlatPositionMap::update, out-of-band self-healing of pending
- * deferred write-backs, and the allocation-free steady state of the
- * deferred segment list (counting global new/delete).
+ * deferred write-backs, a golden digest pinning the fused DRAM image
+ * against a recorded value, and the allocation-free steady state of
+ * the deferred segment list and background eviction (counting global
+ * new/delete).
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +17,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/bitutils.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "crypto/sha256.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
 #include "sim/experiment.hh"
@@ -326,9 +330,79 @@ TEST(BitUtils, Load64Store64RoundTrip)
 }
 
 // ---------------------------------------------------------------------
+// Golden DRAM image: a fixed-seed fused H=2 run through a fixed mix of
+// reads, writes, dummies and background evictions must reproduce a
+// pinned sha256 over every tree's (nonce, ciphertext) image, its stash
+// ids and its PRF draw counters. Unlike the deferred-vs-immediate
+// differential above, which compares two modes of the same build, this
+// pins the datapath against a recorded value: any change to draw
+// order, nonce assignment, eviction placement or the wire format
+// shows up here.
+// ---------------------------------------------------------------------
+
+std::string
+goldenImageDigest(const oram::RecursivePathOram &o)
+{
+    ByteWriter w;
+    for (std::size_t t = 0; t < o.treeCount(); ++t) {
+        const oram::PathOram &tree = o.tree(t);
+        for (std::uint64_t b = 0; b < tree.config().numBuckets(); ++b) {
+            const crypto::Ciphertext &ct = tree.bucketCiphertext(b);
+            w.u64(ct.nonce);
+            w.bytes(ct.data);
+        }
+        const std::vector<BlockId> ids = tree.stash().residentIds();
+        w.u64(ids.size());
+        for (const BlockId id : ids)
+            w.u64(id);
+        const oram::PathOram::DrawStats d = tree.drawStats();
+        w.u64(d.nonces);
+        w.u64(d.leaves);
+        w.u64(d.initLeaves);
+    }
+    return crypto::toHex(crypto::Sha256::hash(w.data()));
+}
+
+TEST(FusedDatapath, GoldenDramImageDigest)
+{
+    const oram::OramConfig c = recursiveConfig(2, 256);
+    oram::RecursivePathOram o(c, 20260417, crypto::CryptoBackend::Auto,
+                              oram::Datapath::Fused);
+    ASSERT_EQ(o.treeCount(), 3u);
+
+    std::vector<std::uint8_t> out(c.blockBytes);
+    std::vector<std::uint8_t> data(c.blockBytes);
+    Rng rng(4099);
+    std::uint64_t evict_g = 0;
+    for (int i = 0; i < 1200; ++i) {
+        const BlockId id = rng.nextBounded(c.numBlocks);
+        switch (rng.nextBounded(8)) {
+          case 0:
+          case 1:
+          case 2:
+            for (std::size_t k = 0; k < data.size(); ++k)
+                data[k] = static_cast<std::uint8_t>(i * 7 + k);
+            o.accessInto(id, oram::Op::Write, data, out);
+            break;
+          case 3:
+            o.dummyAccess();
+            break;
+          case 4:
+            o.backgroundEvict(evict_g++);
+            break;
+          default:
+            o.accessInto(id, oram::Op::Read, {}, out);
+            break;
+        }
+    }
+    EXPECT_EQ(goldenImageDigest(o), "12e31b3a3463c23a587fa5eb41d78642e8ea3853d7be656b95cf46c15ae5beb0");
+}
+
+// ---------------------------------------------------------------------
 // Allocation-free steady state: once warm, the fused recursive access
-// (including the deferred segment list and its flush) performs zero
-// heap allocations per access.
+// (including the deferred segment list and its flush) and the
+// background eviction pass (evictPath over the shared path-index
+// scratch) perform zero heap allocations.
 // ---------------------------------------------------------------------
 
 TEST(AllocationFree, FusedRecursiveSteadyStateAccess)
@@ -339,6 +413,7 @@ TEST(AllocationFree, FusedRecursiveSteadyStateAccess)
     std::vector<std::uint8_t> out(c.blockBytes);
     std::vector<std::uint8_t> data(c.blockBytes, 0xa5);
     Rng rng(9);
+    std::uint64_t evict_g = 0;
     for (int i = 0; i < 400; ++i) {
         const BlockId id = rng.nextBounded(96);
         if (i % 2 == 0)
@@ -347,6 +422,8 @@ TEST(AllocationFree, FusedRecursiveSteadyStateAccess)
             o.accessInto(id, oram::Op::Read, {}, out);
         if (i % 7 == 0)
             o.dummyAccess();
+        if (i % 5 == 0)
+            o.backgroundEvict(evict_g++);
     }
 
     const std::uint64_t before = allocationCount();
@@ -358,9 +435,12 @@ TEST(AllocationFree, FusedRecursiveSteadyStateAccess)
             o.accessInto(id, oram::Op::Read, {}, out);
         if (i % 11 == 0)
             o.dummyAccess();
+        if (i % 4 == 0)
+            o.backgroundEvict(evict_g++);
     }
     EXPECT_EQ(allocationCount() - before, 0u)
         << "fused recursive access allocated in steady state";
+    EXPECT_GT(o.evictionCount(), 0u);
 }
 
 } // namespace

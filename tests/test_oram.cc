@@ -1,9 +1,10 @@
 /**
  * @file
- * Path ORAM tests: geometry arithmetic, bucket serialization and
- * sealing, stash behaviour, functional read/write correctness, the
- * tree-path invariant, recursion, ciphertext freshness, and the
- * timing controller's calibration.
+ * Path ORAM tests: geometry arithmetic (depth-0 trees included),
+ * bucket serialization and sealing, stash behaviour, functional
+ * read/write correctness, the tree-path invariant and the traced path
+ * addresses, recursion, ciphertext freshness, and the timing
+ * controller's calibration.
  */
 
 #include <gtest/gtest.h>
@@ -40,13 +41,58 @@ pattern(std::uint64_t tag, std::size_t n = 64)
 
 TEST(OramConfig, GeometryArithmetic)
 {
-    OramConfig c = tinyConfig(256);
-    // 256 blocks / Z=3 -> 86 leaves -> round to 128 -> depth 7.
-    EXPECT_EQ(c.treeDepth(), 7u);
-    EXPECT_EQ(c.numLeaves(), 128u);
-    EXPECT_EQ(c.numBuckets(), 255u);
-    EXPECT_EQ(c.bucketBytes(), 3u * 80u);
-    EXPECT_EQ(c.pathBytes(), 8u * 240u);
+    // Closed form (Z = 3, 64 B blocks, 16 B headers): leaves is the
+    // smallest power of two >= max(1, numBlocks / 3), depth = log2
+    // (leaves), buckets = 2 * leaves - 1, a path is depth + 1 buckets
+    // of 3 * 80 B, and recursion level i holds ceil(numBlocks / 4^i)
+    // packed labels (32 B blocks, 8 B per label) until a level would
+    // hold one block. numBlocks in {1, 3, 4} gives a depth-0 tree: a
+    // single bucket that is root and leaf at once.
+    struct Row
+    {
+        std::uint64_t numBlocks;
+        unsigned depth;
+        std::vector<std::uint64_t> chain; ///< recursion numBlocks
+    };
+    const Row rows[] = {
+        {1, 0, {}},
+        {3, 0, {}},
+        {4, 0, {}},
+        {6, 1, {2}},
+        {256, 7, {64, 16, 4}},
+        {3 * 16, 4, {12, 3}},
+        {3 * 16 + 1, 4, {13, 4}},
+        {3 * 1024, 10, {768, 192, 48}},
+        {3 * 1024 + 1, 10, {769, 193, 49}},
+        {3ull << 20, 20, {786432, 196608, 49152}},
+        {(3ull << 20) + 1, 20, {786433, 196609, 49153}},
+    };
+    for (const Row &row : rows) {
+        OramConfig c = tinyConfig(row.numBlocks);
+        c.recursionLevels = 3;
+        const std::uint64_t leaves = std::uint64_t{1} << row.depth;
+        EXPECT_EQ(c.treeDepth(), row.depth) << row.numBlocks;
+        EXPECT_EQ(c.numLeaves(), leaves) << row.numBlocks;
+        EXPECT_EQ(c.numBuckets(), 2 * leaves - 1) << row.numBlocks;
+        EXPECT_EQ(c.bucketBytes(), 3u * 80u) << row.numBlocks;
+        EXPECT_EQ(c.pathBytes(), (row.depth + 1) * 240u) << row.numBlocks;
+
+        const std::vector<OramConfig> chain = c.recursionChain();
+        ASSERT_EQ(chain.size(), row.chain.size()) << row.numBlocks;
+        for (std::size_t i = 0; i < chain.size(); ++i) {
+            const OramConfig &r = chain[i];
+            EXPECT_EQ(r.numBlocks, row.chain[i]) << row.numBlocks;
+            EXPECT_EQ(r.blockBytes, 32u);
+            EXPECT_EQ(r.recursionLevels, 0u);
+            // Leaves: smallest power of two >= max(1, entries / 3).
+            std::uint64_t want = r.numBlocks / 3 ? r.numBlocks / 3 : 1;
+            unsigned depth = 0;
+            while ((std::uint64_t{1} << depth) < want)
+                ++depth;
+            EXPECT_EQ(r.treeDepth(), depth) << row.numBlocks << " @" << i;
+            EXPECT_EQ(r.pathBytes(), (depth + 1) * 3u * 48u);
+        }
+    }
 }
 
 TEST(OramConfig, PaperScaleTraffic)
@@ -272,6 +318,58 @@ TEST(PathOram, TraceTouchesFullPathTwice)
     EXPECT_EQ(t.reads.size(), c.treeDepth() + 1);
     EXPECT_EQ(t.writes.size(), c.treeDepth() + 1);
     EXPECT_EQ(t.totalBytes(), 2 * c.pathBytes());
+}
+
+TEST(PathOram, TraceFollowsTheAccessedPath)
+{
+    // The datapath walks each path's bucket indices once and reuses
+    // them for the read, the write-back and the tag commit; the trace
+    // must still name exactly bucketIndexOnPath's buckets: reads root
+    // first, write-backs deepest first.
+    OramConfig c = tinyConfig();
+    FlatPositionMap map(c.numBlocks);
+    PathOram oram(c, map, 12);
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+        if (i % 4 == 3)
+            oram.evictPath(rng.nextBounded(c.numLeaves()));
+        else
+            oram.access(rng.nextBounded(c.numBlocks), Op::Read);
+        const Leaf leaf = oram.lastAccessedLeaf();
+        const AccessTrace &t = oram.lastTrace();
+        const unsigned levels = c.treeDepth() + 1;
+        ASSERT_EQ(t.reads.size(), levels);
+        ASSERT_EQ(t.writes.size(), levels);
+        for (unsigned l = 0; l < levels; ++l) {
+            const Addr a = oram.bucketAddr(oram.bucketIndexOnPath(leaf, l));
+            EXPECT_EQ(t.reads[l].addr, a) << "access " << i << " level " << l;
+            EXPECT_EQ(t.writes[levels - 1 - l].addr, a)
+                << "access " << i << " level " << l;
+        }
+    }
+}
+
+TEST(PathOram, DepthZeroSingleBucketTree)
+{
+    // numBlocks / Z < 2 leaves one bucket that is root and leaf at
+    // once: every access reads and rewrites bucket 0 only.
+    OramConfig c = tinyConfig(3);
+    ASSERT_EQ(c.treeDepth(), 0u);
+    FlatPositionMap map(c.numBlocks);
+    PathOram oram(c, map, 13);
+    for (BlockId id = 0; id < 3; ++id)
+        oram.access(id, Op::Write, pattern(id));
+    for (int round = 0; round < 30; ++round) {
+        const BlockId id = static_cast<BlockId>(round % 3);
+        EXPECT_EQ(oram.access(id, Op::Read), pattern(id)) << round;
+        EXPECT_EQ(oram.lastAccessedLeaf(), 0u);
+        ASSERT_EQ(oram.lastTrace().reads.size(), 1u);
+        EXPECT_EQ(oram.lastTrace().reads[0].addr, oram.bucketAddr(0));
+        EXPECT_EQ(oram.lastTrace().writes[0].addr, oram.bucketAddr(0));
+    }
+    oram.dummyAccess();
+    oram.evictPath(0);
+    EXPECT_TRUE(oram.checkInvariant({0, 1, 2}));
 }
 
 TEST(PathOram, RemapChangesLeafDistribution)
