@@ -108,8 +108,7 @@ bool
 checkPeriodic(sim::RecoveryRun &run)
 {
     for (std::uint32_t i = 0; i < run.shardCount(); ++i) {
-        const Cycles period =
-            run.config().rate + run.device().shard(i).accessLatency();
+        const Cycles period = run.shardPeriod(i);
         const auto stream = run.shardStream(i);
         for (std::size_t j = 1; j < stream.size(); ++j)
             if (stream[j].start - stream[j - 1].start != period)
@@ -182,8 +181,7 @@ runGolden(std::uint32_t shards, std::uint64_t txns, std::uint64_t probes)
     Golden g;
     for (std::uint32_t i = 0; i < shards; ++i) {
         g.streams.push_back(run.shardStream(i));
-        g.periods.push_back(run.config().rate +
-                            run.device().shard(i).accessLatency());
+        g.periods.push_back(run.shardPeriod(i));
     }
     return g;
 }

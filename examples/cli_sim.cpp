@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "crypto/crypto_engine.hh"
@@ -28,7 +29,6 @@
 #include "sim/report.hh"
 #include "sim/secure_processor.hh"
 #include "sim/stat_dump.hh"
-#include "sim/workload_driver.hh"
 #include "timing/dispatch_policy.hh"
 #include "workload/spec_suite.hh"
 #include "workload/trace_io.hh"
@@ -79,20 +79,22 @@ usage()
         "   --dram-mode, --eviction-policy, --eviction-budget,\n"
         "   --fault-spec, --retry-budget, --seed)\n"
         "workload mode (runs the workload plane through the ring\n"
-        "scheduler harness, not the CPU sim):\n"
+        "scheduler harnesses, not the CPU sim):\n"
         "  --workload <spec>      \"method:k=v,...\" — methods listed by\n"
         "                         --list-backends. \"kv\" runs the\n"
-        "                         KV-serving scenario, \"daly\" the\n"
-        "                         checkpoint chain (snapshots at the\n"
-        "                         method's optimum interval), anything\n"
-        "                         else a pure stream replay\n"
+        "                         KV-serving scenario; every other\n"
+        "                         method replays its op stream as an\n"
+        "                         open-loop backlog (RecoveryRun),\n"
+        "                         snapshotting at the method's\n"
+        "                         checkpoint marks (\"daly\"'s optimum\n"
+        "                         interval) when it places any\n"
         "  --eviction-auto        size the highwater eviction budget\n"
         "                         from the workload's observed burst\n"
         "                         depth (implies --eviction-policy\n"
-        "                         highwater --dram-mode async; daly\n"
-        "                         runs apply it, others report it)\n"
-        "  (honors --shards, --rate, --threads, --seed;\n"
-        "   daly also honors --checkpoint-path)\n");
+        "                         highwater --dram-mode async; replays\n"
+        "                         apply it, kv reports it)\n"
+        "  (honors --shards, --rate, --seed; --threads applies to kv\n"
+        "   only; replays also honor --checkpoint-path)\n");
 }
 
 const char *
@@ -234,9 +236,9 @@ main(int argc, char **argv)
 
     // Workload mode drives the workload plane (workload/) through the
     // scheduler harnesses instead of the CPU simulation: "kv" runs the
-    // KV-serving scenario end to end, "daly" runs the checkpoint chain
-    // on the method's optimum interval, every other method replays its
-    // op stream over the sharded rate-enforced device array.
+    // KV-serving scenario end to end, every other method replays its
+    // op stream over the sharded rate-enforced device array through
+    // RecoveryRun (with "daly"'s snapshot chain).
     if (const char *wspec = arg(argc, argv, "--workload", nullptr)) {
         const workload::WorkloadParams wp =
             workload::parseWorkloadSpec(wspec);
@@ -244,8 +246,6 @@ main(int argc, char **argv)
             arg(argc, argv, "--shards", "2"), nullptr, 10));
         const auto wl_rate = static_cast<Cycles>(std::strtoull(
             arg(argc, argv, "--rate", "300"), nullptr, 10));
-        const auto wl_threads = static_cast<unsigned>(std::strtoul(
-            arg(argc, argv, "--threads", "1"), nullptr, 10));
         const auto wl_seed = std::strtoull(
             arg(argc, argv, "--seed", "42"), nullptr, 10);
 
@@ -269,7 +269,8 @@ main(int argc, char **argv)
             sim::KvServingConfig kc;
             kc.shards = wl_shards;
             kc.rate = wl_rate;
-            kc.threads = wl_threads;
+            kc.threads = static_cast<unsigned>(std::strtoul(
+                arg(argc, argv, "--threads", "1"), nullptr, 10));
             kc.seed = wl_seed;
             kc.workload = wp;
             sim::KvServingRun run(kc);
@@ -298,63 +299,55 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (wp.method == "daly") {
-            sim::RecoveryRunConfig rc;
-            rc.shards = wl_shards;
-            rc.rate = wl_rate;
-            rc.seed = wl_seed;
-            rc.workloadSpec = wspec;
-            if (auto_budget > 0) {
-                rc.pathMode = oram::PathMode::Pipelined;
-                rc.evictionPolicy = oram::EvictionPolicy::HighWater;
-                rc.evictionBudget = auto_budget;
-            }
-            const std::string ckpt_path =
-                arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
-            sim::RecoveryRun run(rc);
-            run.start();
-            std::printf("daly        interval %llu ops, %zu snapshot "
-                        "mark(s) over %llu ops\n",
-                        (unsigned long long)run.checkpointIntervalOps(),
-                        run.checkpointMarks().size(),
-                        (unsigned long long)run.backlogTotal());
-            std::uint64_t snapshots = 0;
-            auto mark = run.checkpointMarks().begin();
-            while (run.serveOne()) {
-                if (mark != run.checkpointMarks().end() &&
-                    run.servedTotal() == *mark) {
-                    ++mark;
-                    ++snapshots;
-                    if (std::string err = run.saveTo(ckpt_path);
-                        !err.empty())
-                        tcoram_fatal(err);
-                }
-            }
-            run.finish();
-            std::printf("served      %llu/%llu, %llu snapshot(s) to %s\n",
-                        (unsigned long long)run.servedTotal(),
-                        (unsigned long long)run.backlogTotal(),
-                        (unsigned long long)snapshots, ckpt_path.c_str());
-            std::printf("%s\n%s\n", sim::RecoveryRun::csvHeader().c_str(),
-                        run.csvRow().c_str());
-            return 0;
+        // One session per rank, one arrival per access; snapshots only
+        // at the checkpoint marks the method places.
+        sim::RecoveryRunConfig rc;
+        rc.shards = wl_shards;
+        rc.rate = wl_rate;
+        rc.seed = wl_seed;
+        rc.workloadSpec = wspec;
+        if (auto_budget > 0) {
+            rc.pathMode = oram::PathMode::Pipelined;
+            rc.evictionPolicy = oram::EvictionPolicy::HighWater;
+            rc.evictionBudget = auto_budget;
         }
-
-        sim::WorkloadReplayConfig wc;
-        wc.shards = wl_shards;
-        wc.rate = wl_rate;
-        wc.threads = wl_threads;
-        wc.seed = wl_seed;
-        wc.workload = wp;
-        sim::WorkloadReplayRun run(wc);
-        run.run();
-        std::printf("replayed    %llu ops over %u rank(s), tokens %s "
+        const std::string ckpt_path =
+            arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
+        sim::RecoveryRun run(rc);
+        run.start();
+        const std::vector<std::uint64_t> &marks = run.checkpointMarks();
+        if (!marks.empty())
+            std::printf("%-11s interval %llu ops, %zu snapshot mark(s) "
+                        "over %llu ops\n",
+                        wp.method.c_str(),
+                        (unsigned long long)run.checkpointIntervalOps(),
+                        marks.size(),
+                        (unsigned long long)run.backlogTotal());
+        std::uint64_t snapshots = 0;
+        auto mark = marks.begin();
+        while (run.serveOne()) {
+            if (mark != marks.end() && run.servedTotal() == *mark) {
+                ++mark;
+                ++snapshots;
+                if (std::string err = run.saveTo(ckpt_path); !err.empty())
+                    tcoram_fatal(err);
+            }
+        }
+        run.finish();
+        std::printf("replayed    %llu/%llu ops over %u rank(s), tokens %s "
                     "retired\n",
-                    (unsigned long long)run.opsCompleted(),
-                    run.sessionCount(),
+                    (unsigned long long)run.servedTotal(),
+                    (unsigned long long)run.backlogTotal(),
+                    run.config().sessions,
                     run.allTokensRetired() ? "all" : "NOT ALL");
-        if (!run.allTokensRetired())
-            tcoram_fatal("workload replay left unretired tokens");
+        if (!marks.empty())
+            std::printf("snapshots   %llu to %s\n",
+                        (unsigned long long)snapshots, ckpt_path.c_str());
+        std::printf("%s\n%s\n", sim::RecoveryRun::csvHeader().c_str(),
+                    run.csvRow().c_str());
+        if (run.servedTotal() != run.backlogTotal() ||
+            !run.allTokensRetired())
+            tcoram_fatal("workload replay left ops unserved");
         return 0;
     }
 

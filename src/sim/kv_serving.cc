@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 #include <thread>
 
 #include "common/log.hh"
@@ -12,35 +11,62 @@ namespace tcoram::sim {
 
 namespace {
 
-protocol::LeakageParams
-runParams(const KvServingConfig &cfg)
-{
-    protocol::LeakageParams p;
-    // Single-candidate rate set: rate decisions reveal lg(1) = 0 bits
-    // and the slot grid is pinned, which is what makes the "exactly
-    // periodic" gate exact rather than statistical.
-    p.rateCount = 1;
-    p.epoch0 = cfg.epoch0;
-    return p;
-}
+/** Per-lane backpressure bound of the KV scheduler. */
+constexpr std::size_t kRingCapacity = 1024;
 
 oram::OramDeviceSpec
-innerSpec(const KvServingConfig &cfg)
+functionalSpec()
 {
+    // Uncapped: a capacity fold would alias distinct KV blocks.
     oram::OramDeviceSpec spec;
-    spec.kind = cfg.deviceKind;
-    spec.keySeed = mixSeed(cfg.seed, 0x0de71ce5ull);
-    spec.functionalBlockCap = cfg.functionalBlockCap;
+    spec.kind = "functional";
     return spec;
+}
+
+RingScheduler::Options
+laneOptions(const KvServingConfig &cfg)
+{
+    RingScheduler::Options opts;
+    opts.lanes = cfg.lanes;
+    opts.ringCapacity = kRingCapacity;
+    opts.threads = cfg.threads;
+    opts.recordLatencies = false; // whole-op latencies tracked here
+    return opts;
 }
 
 } // namespace
 
+KvFreshnessOracle::KvFreshnessOracle(std::uint64_t keys)
+    : keys_(keys),
+      latest_(std::make_unique<std::atomic<std::uint64_t>[]>(keys))
+{
+    for (std::uint64_t k = 0; k < keys_; ++k)
+        latest_[k].store(kNone);
+}
+
+void
+KvFreshnessOracle::commit(std::uint64_t key, std::uint64_t version)
+{
+    if (key < keys_)
+        latest_[key].store(version);
+}
+
+bool
+KvFreshnessOracle::fresh(std::uint64_t key, bool hit,
+                         std::span<const std::uint8_t> value) const
+{
+    if (key >= keys_) // untracked: integrity only
+        return !hit || KvServingRun::checkValue(value, key).has_value();
+    const std::uint64_t latest = latest_[key].load();
+    if (!hit)
+        return latest == kNone;
+    return KvServingRun::checkValue(value, key) == latest;
+}
+
 KvServingRun::KvServingRun(const KvServingConfig &cfg)
-    : cfg_(cfg), mem_(dram::DramConfig{}), rng_(cfg.seed),
-      rates_(std::vector<Cycles>{cfg.rate}),
-      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_),
-      backend_(cfg.kv)
+    : cfg_(cfg), stack_(functionalSpec(), cfg.shards, cfg.rate, cfg.seed,
+                        laneOptions(cfg)),
+      backend_(cfg.kv), oracle_(cfg.workload.keySpace)
 {
     tcoram_assert(cfg_.shards >= 1, "kv serving needs a shard");
     tcoram_assert(cfg_.lanes >= 1, "kv serving needs a lane");
@@ -48,35 +74,13 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
     tcoram_assert(cfg_.kv.blockBytes == ocfg.blockBytes,
                   "kv serving: KV block size ", cfg_.kv.blockBytes,
                   " != device block size ", ocfg.blockBytes);
-    if (cfg_.deviceKind == "functional") {
-        // A capacity fold would alias distinct KV blocks (records
-        // would overwrite each other); the KV table must fit uncapped.
-        tcoram_assert(cfg_.functionalBlockCap == 0 ||
-                          cfg_.functionalBlockCap >=
-                              cfg_.kv.totalBlocks(),
-                      "kv serving: functional block cap ",
-                      cfg_.functionalBlockCap, " would fold the ",
-                      cfg_.kv.totalBlocks(), "-block KV table");
-        // First-touch id compaction is per shard; even the worst-case
-        // routing (every KV block on one shard) must fit its subtree.
-        const std::uint64_t per_shard =
-            (ocfg.numBlocks + cfg_.shards - 1) / cfg_.shards;
-        tcoram_assert(cfg_.kv.totalBlocks() <= per_shard,
-                      "kv serving: ", cfg_.kv.totalBlocks(),
-                      "-block KV table exceeds the ", per_shard,
-                      "-block per-shard subtree");
-    }
-    device_ = std::make_unique<oram::ShardedOramDevice>(
-        innerSpec(cfg_), ocfg, cfg_.shards,
-        mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
-    RingScheduler::Options opts;
-    opts.lanes = cfg_.lanes;
-    opts.ringCapacity = cfg_.ringCapacity;
-    opts.threads = cfg_.threads;
-    opts.recordLatencies = false; // whole-op latencies tracked here
-    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
-                                             learner_, cfg_.rate,
-                                             runParams(cfg_), opts);
+    // First-touch id compaction is per shard; even the worst-case
+    // routing (every KV block on one shard) must fit its subtree.
+    const std::uint64_t per_shard =
+        (ocfg.numBlocks + cfg_.shards - 1) / cfg_.shards;
+    tcoram_assert(cfg_.kv.totalBlocks() <= per_shard, "kv serving: ",
+                  cfg_.kv.totalBlocks(), "-block KV table exceeds the ",
+                  per_shard, "-block per-shard subtree");
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "kv serving: workload has no ranks");
@@ -84,12 +88,11 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
     laneSessions_.assign(cfg_.lanes, {});
     for (std::uint32_t rank = 0; rank < ranks; ++rank) {
         const auto lane = static_cast<std::uint16_t>(rank % cfg_.lanes);
-        const std::uint32_t sid = sched_->openSession(
+        const std::uint32_t sid = stack_.scheduler().openSession(
             mixSeed(cfg_.seed, 0x5e55'0000ull + rank), -1.0, lane);
         Session s(backend_);
         s.sid = sid;
         s.rank = rank;
-        s.lane = lane;
         sessions_.push_back(std::move(s));
         laneSessions_[lane].push_back(sid);
     }
@@ -139,7 +142,7 @@ KvServingRun::~KvServingRun() = default;
 
 void
 KvServingRun::buildValue(std::vector<std::uint8_t> &out, std::uint64_t key,
-                         std::uint64_t seq, std::uint32_t len)
+                         std::uint64_t version, std::uint32_t len)
 {
     tcoram_assert(len >= kMinValueBytes,
                   "self-verifying value needs >= ", kMinValueBytes,
@@ -150,37 +153,38 @@ KvServingRun::buildValue(std::vector<std::uint8_t> &out, std::uint64_t key,
             static_cast<std::uint8_t>(key >> (8 * i));
     for (int i = 0; i < 8; ++i)
         out[static_cast<std::size_t>(8 + i)] =
-            static_cast<std::uint8_t>(seq >> (8 * i));
+            static_cast<std::uint8_t>(version >> (8 * i));
     const std::uint64_t pattern_seed =
-        key ^ (seq * 0x9e3779b97f4a7c15ull);
+        key ^ (version * 0x9e3779b97f4a7c15ull);
     for (std::uint32_t i = 16; i < len; ++i)
         out[i] = static_cast<std::uint8_t>(mixSeed(pattern_seed, i));
 }
 
-bool
+std::optional<std::uint64_t>
 KvServingRun::checkValue(std::span<const std::uint8_t> value,
                          std::uint64_t key)
 {
     if (value.size() < kMinValueBytes)
-        return false;
+        return std::nullopt;
     std::uint64_t got_key = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t version = 0;
     for (int i = 0; i < 8; ++i)
         got_key |= static_cast<std::uint64_t>(value[static_cast<std::size_t>(
                        i)])
                    << (8 * i);
     for (int i = 0; i < 8; ++i)
-        seq |= static_cast<std::uint64_t>(
-                   value[static_cast<std::size_t>(8 + i)])
-               << (8 * i);
+        version |= static_cast<std::uint64_t>(
+                       value[static_cast<std::size_t>(8 + i)])
+                   << (8 * i);
     if (got_key != key)
-        return false;
-    const std::uint64_t pattern_seed = key ^ (seq * 0x9e3779b97f4a7c15ull);
+        return std::nullopt;
+    const std::uint64_t pattern_seed =
+        key ^ (version * 0x9e3779b97f4a7c15ull);
     for (std::size_t i = 16; i < value.size(); ++i)
         if (value[i] != static_cast<std::uint8_t>(
                             mixSeed(pattern_seed, i)))
-            return false;
-    return true;
+            return std::nullopt;
+    return version;
 }
 
 bool
@@ -197,7 +201,7 @@ KvServingRun::advanceSession(Session &s)
                 st.blockId, st.isWrite, s.sid);
             txn.data = st.data;
             txn.out = st.out;
-            if (!sched_->trySubmit(s.sid, s.clock, txn).has_value())
+            if (!stack_.scheduler().trySubmit(s.sid, s.clock, txn))
                 return false; // lane at backpressure bound; retry later
             s.awaiting = true;
             return true;
@@ -228,15 +232,10 @@ KvServingRun::advanceSession(Session &s)
             s.opStart = s.clock;
             const auto max_len =
                 static_cast<std::uint32_t>(cfg_.kv.maxValueBytes());
-            const std::uint32_t min_len =
-                cfg_.selfVerify ? kMinValueBytes : 1;
-            const std::uint32_t len = std::clamp(
-                op.valueBytes, min_len, max_len);
-            if (cfg_.selfVerify)
-                buildValue(s.payload, op.key, s.putSeq++, len);
-            else
-                s.payload.assign(len,
-                                 static_cast<std::uint8_t>(op.key));
+            const std::uint32_t len =
+                std::clamp(op.valueBytes, kMinValueBytes, max_len);
+            s.putVersion = (std::uint64_t{s.sid} << 32) | s.putSeq++;
+            buildValue(s.payload, op.key, s.putVersion, len);
             s.cursor.beginPut(op.key, s.payload);
             continue;
         }
@@ -257,9 +256,12 @@ KvServingRun::finishOp(Session &s)
     using workload::WorkloadOpKind;
     const bool is_read = s.opKind == WorkloadOpKind::Get ||
                          s.opKind == WorkloadOpKind::Scan;
-    if (is_read && cfg_.selfVerify && s.cursor.hit() &&
-        !checkValue(s.cursor.value(), s.opKey))
-        ++s.mismatches;
+    if (is_read) {
+        if (!oracle_.fresh(s.opKey, s.cursor.hit(), s.cursor.value()))
+            ++s.mismatches;
+    } else if (!s.cursor.failed()) {
+        oracle_.commit(s.opKey, s.putVersion);
+    }
     ++s.opsDone;
     if (s.opKind == WorkloadOpKind::Scan && s.scanLeft > 0)
         return; // latency is recorded once, at the last element
@@ -282,8 +284,10 @@ KvServingRun::handleCompletion(const SessionRing::Completion &c)
     s.lastDone = std::max(s.lastDone, c.completion.done);
     s.cursor.onComplete();
     if (s.cursor.done()) {
-        releaseSlot(s);
+        // Check or commit while the op still holds its slot, so the
+        // next op on the slot sees the oracle already updated.
         finishOp(s);
+        releaseSlot(s);
     }
 }
 
@@ -299,10 +303,10 @@ KvServingRun::run()
         for (Session &s : sessions_)
             if (!s.ended && !s.awaiting)
                 advanceSession(s);
-        sched_->runUntilIdle();
+        stack_.scheduler().runUntilIdle();
         SessionRing::Completion c;
         for (std::size_t l = 0; l < cfg_.lanes; ++l)
-            while (sched_->lane(l).popCompletion(c))
+            while (stack_.scheduler().lane(l).popCompletion(c))
                 handleCompletion(c);
         bool done = true;
         for (const Session &s : sessions_)
@@ -326,7 +330,7 @@ KvServingRun::runMultiProducer()
         // This thread owns lane l's ring endpoints and every session
         // on the lane; the rings' acquire/release pairs are the only
         // synchronization with the scheduler.
-        SessionRing &ring = sched_->lane(l);
+        SessionRing &ring = stack_.scheduler().lane(l);
         const std::vector<std::uint32_t> &mine = laneSessions_[l];
         for (;;) {
             bool progress = false;
@@ -358,12 +362,12 @@ KvServingRun::runMultiProducer()
     for (std::size_t l = 0; l < cfg_.lanes; ++l)
         clients.emplace_back(client, l);
     while (live.load(std::memory_order_acquire) > 0) {
-        sched_->runUntilIdle();
+        stack_.scheduler().runUntilIdle();
         std::this_thread::yield();
     }
     for (std::thread &t : clients)
         t.join();
-    sched_->runUntilIdle();
+    stack_.scheduler().runUntilIdle();
     drainTail();
 }
 
@@ -373,7 +377,7 @@ KvServingRun::drainTail()
     Cycles last = 0;
     for (const Session &s : sessions_)
         last = std::max(last, s.lastDone);
-    sched_->drainUntil(last + cfg_.drainSlackPeriods * period());
+    stack_.scheduler().drainUntil(stack_.drainHorizon(last));
 }
 
 KVStats
@@ -401,67 +405,6 @@ KvServingRun::opsCompleted() const
     for (const Session &s : sessions_)
         n += s.opsDone;
     return n;
-}
-
-bool
-KvServingRun::allTokensRetired() const
-{
-    for (std::size_t l = 0; l < cfg_.lanes; ++l) {
-        const SessionRing &ring = sched_->lane(l);
-        if (ring.drained() != ring.submitted() ||
-            ring.retiredFence() != ring.submitted())
-            return false;
-    }
-    return true;
-}
-
-Cycles
-KvServingRun::period() const
-{
-    Cycles p = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        p = std::max(p, shardPeriod(i));
-    return p;
-}
-
-Cycles
-KvServingRun::shardPeriod(std::uint32_t i) const
-{
-    return cfg_.rate + device_->shard(i).accessLatency();
-}
-
-std::vector<KvServingRun::Event>
-KvServingRun::shardStream(std::uint32_t i) const
-{
-    const timing::RecordingOramDevice *rec = device_->recorder(i);
-    tcoram_assert(rec != nullptr, "kv serving always records");
-    std::vector<Event> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
-        out.push_back({r.completion.start,
-                       r.kind == timing::OramTransaction::Kind::Real});
-    return out;
-}
-
-std::vector<Cycles>
-KvServingRun::shardStarts(std::uint32_t i) const
-{
-    std::vector<Cycles> out;
-    for (const Event &e : shardStream(i))
-        out.push_back(e.start);
-    return out;
-}
-
-std::string
-KvServingRun::streamCsv() const
-{
-    std::ostringstream os;
-    os << "shard,start,kind\n";
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        for (const Event &e : shardStream(i))
-            os << i << ',' << e.start << ',' << (e.real ? 'r' : 'd')
-               << '\n';
-    return os.str();
 }
 
 Cycles

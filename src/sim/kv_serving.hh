@@ -3,8 +3,9 @@
  * KvServingRun: the end-to-end KV-serving scenario. Thousands of
  * closed-loop client sessions drive a workload-plane op stream
  * (workload/workload_source.hh — any method) against a KVBackend
- * (sim/kv_backend.hh) over the sharded, rate-enforced ORAM device
- * array, through the RingScheduler's lock-free lanes. Each session
+ * (sim/kv_backend.hh) over the shared ServingStack
+ * (sim/serving_stack.hh): functional, uncapped, rate-enforced shards
+ * behind the RingScheduler's lock-free lanes. Each session
  * keeps ONE ORAM transaction in flight (the closed loop): a KV op
  * unrolls into its probe/spill steps, each step's arrival is the
  * previous step's completion, and the next op starts after the
@@ -24,10 +25,13 @@
  *    is lane-partitioned, so the only cross-thread traffic is the
  *    rings' acquire/release pairs (TSan-covered in CI).
  *
- * Payload integrity: puts write self-verifying values (embedded key +
- * sequence + PRF-mixed pattern), gets re-derive and compare — the
- * zero-payload-mismatch gate of bench_kv_serving needs no global
- * shadow state, so it holds under any session interleaving.
+ * Payload oracle: puts write self-verifying values (embedded key +
+ * version + PRF-mixed pattern), and every get is checked twice. It
+ * must be intact (the pattern re-derives from the embedded key and
+ * version) and fresh (KvFreshnessOracle: a hit returns the latest
+ * committed put of its key, a miss means the key has none). Both
+ * failures count into payloadMismatches(), the zero-mismatch gate of
+ * bench_kv_serving; it holds under any session interleaving.
  */
 
 #ifndef TCORAM_SIM_KV_SERVING_HH
@@ -36,17 +40,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-#include "dram/dram_model.hh"
-#include "oram/sharded_device.hh"
 #include "sim/kv_backend.hh"
-#include "sim/shard_worker.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 #include "workload/workload_source.hh"
 
 namespace tcoram::sim {
@@ -58,36 +58,56 @@ struct KvServingConfig
     std::size_t lanes = 1;
     /** Scheduler worker threads (bit-identical across counts). */
     unsigned threads = 1;
-    std::size_t ringCapacity = 1024;
     /** Enforced inter-access gap (single-candidate rate set). */
     Cycles rate = 300;
     std::uint64_t seed = 42;
-    Cycles epoch0 = Cycles{1} << 18;
-    Cycles drainSlackPeriods = 8;
-    /** Per-shard backend: "functional" serves real payloads. */
-    std::string deviceKind = "functional";
-    /**
-     * Functional capacity cap. MUST be 0 (uncapped) or at least
-     * KvConfig::totalBlocks(): a fold would alias distinct KV blocks
-     * and corrupt records (asserted at construction).
-     */
-    std::uint64_t functionalBlockCap = 0;
+    /** First epoch length (the serving stack's, not settable). */
+    static constexpr Cycles epoch0 = ServingStack::kEpoch0;
     /** Op stream; workload.ranks == session count. */
     workload::WorkloadParams workload;
     KvConfig kv{};
-    /** Write self-verifying put payloads and check every get hit. */
-    bool selfVerify = true;
+};
+
+/**
+ * KV freshness oracle: the latest committed put version of every key
+ * in [0, keys). A get hit must return exactly that version, and a get
+ * miss is fresh only for a key with no committed put, so a stale read
+ * and a lost update both fail. Keys outside the table (scans running
+ * past the key space, non-"kv" methods) are checked for integrity
+ * alone; KvServingRun sizes the table to the workload's key space.
+ *
+ * Per-key order is total: every step of a KV op holds a reservation
+ * on the home slot it touches, and a session records its put's commit
+ * (or checks its get) before it releases the op's last slot. One
+ * atomic word per key therefore suffices, with no lock, across
+ * multi-producer lane threads.
+ */
+class KvFreshnessOracle
+{
+  public:
+    explicit KvFreshnessOracle(std::uint64_t keys);
+
+    /** Record @p version as @p key's latest committed put. */
+    void commit(std::uint64_t key, std::uint64_t version);
+    /**
+     * Whether a get of @p key is intact and fresh: on a @p hit,
+     * @p value must be a self-verifying value of @p key
+     * (KvServingRun::buildValue) carrying the latest committed
+     * version; a miss must be on a key with no committed put.
+     */
+    bool fresh(std::uint64_t key, bool hit,
+               std::span<const std::uint8_t> value) const;
+
+  private:
+    static constexpr std::uint64_t kNone = ~0ull;
+    std::uint64_t keys_;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> latest_;
 };
 
 class KvServingRun
 {
   public:
-    /** One observable stream event (adversary's view of a shard). */
-    struct Event
-    {
-        Cycles start = 0;
-        bool real = false;
-    };
+    using Event = ServingStack::Event;
 
     explicit KvServingRun(const KvServingConfig &cfg);
     ~KvServingRun();
@@ -106,35 +126,46 @@ class KvServingRun
     {
         return static_cast<std::uint32_t>(sessions_.size());
     }
-    bool allTokensRetired() const;
+    bool allTokensRetired() const { return stack_.allTokensRetired(); }
 
     /** Enforced slot period: rate + calibrated access latency. Each
      *  shard calibrates independently — use shardPeriod(i) for the
      *  exact-grid checks; period() (the max over shards) sizes the
      *  drain horizon. */
-    Cycles period() const;
-    Cycles shardPeriod(std::uint32_t i) const;
-    std::vector<Event> shardStream(std::uint32_t i) const;
-    std::vector<Cycles> shardStarts(std::uint32_t i) const;
+    Cycles period() const { return stack_.period(); }
+    Cycles shardPeriod(std::uint32_t i) const
+    {
+        return stack_.shardPeriod(i);
+    }
+    std::vector<Event> shardStream(std::uint32_t i) const
+    {
+        return stack_.shardStream(i);
+    }
+    std::vector<Cycles> shardStarts(std::uint32_t i) const
+    {
+        return stack_.shardStarts(i);
+    }
     /** Every shard's full stream (start + kind rows) — the worker-
      *  count bit-identity digest. */
-    std::string streamCsv() const;
+    std::string streamCsv() const { return stack_.streamCsv(); }
 
     /** Nearest-rank whole-op latency quantiles (completion - first
      *  arrival, think time excluded). */
     Cycles getLatencyPercentile(double q) const;
     Cycles putLatencyPercentile(double q) const;
 
-    const RingScheduler &scheduler() const { return *sched_; }
     const KvServingConfig &config() const { return cfg_; }
 
-    /** Self-verifying payload codec (exposed for tests). */
+    /** Self-verifying payload codec (exposed for tests). Puts embed
+     *  version (sid << 32) | per-session put count, unique per put. */
     static void buildValue(std::vector<std::uint8_t> &out,
-                           std::uint64_t key, std::uint64_t seq,
+                           std::uint64_t key, std::uint64_t version,
                            std::uint32_t len);
-    static bool checkValue(std::span<const std::uint8_t> value,
-                           std::uint64_t key);
-    /** Smallest self-verifying value (key + seq embedded). */
+    /** The embedded version when @p value is a self-verifying value
+     *  of @p key, else nullopt. */
+    static std::optional<std::uint64_t>
+    checkValue(std::span<const std::uint8_t> value, std::uint64_t key);
+    /** Smallest self-verifying value (key + version embedded). */
     static constexpr std::uint32_t kMinValueBytes = 17;
 
   private:
@@ -144,7 +175,6 @@ class KvServingRun
 
         std::uint32_t sid = 0;
         std::uint32_t rank = 0;
-        std::uint16_t lane = 0;
         KvOpCursor cursor;
         Cycles clock = 0;
         bool ended = false;
@@ -155,6 +185,8 @@ class KvServingRun
         std::uint32_t scanLeft = 0;
         std::uint64_t scanKey = 0;
         std::uint64_t putSeq = 0;
+        /** Version the in-flight put writes. */
+        std::uint64_t putVersion = 0;
         std::uint64_t mismatches = 0;
         std::uint64_t opsDone = 0;
         Cycles lastDone = 0;
@@ -193,14 +225,9 @@ class KvServingRun
     void releaseSlot(Session &s);
 
     KvServingConfig cfg_;
-    dram::DramModel mem_;
-    Rng rng_;
-    timing::RateSet rates_;
-    timing::EpochSchedule schedule_;
-    timing::RateLearner learner_;
-    std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<RingScheduler> sched_;
+    ServingStack stack_;
     KVBackend backend_;
+    KvFreshnessOracle oracle_;
     std::unique_ptr<workload::WorkloadSource> source_;
     std::vector<Session> sessions_;
     /** sessions of each lane, in session-id order. */

@@ -28,13 +28,16 @@ probeBlockId(std::uint64_t i)
     return 0xbe57'0000ull + i * 104'729ull;
 }
 
+/** Functional tree capacity cap per shard (keeps host memory
+ *  bounded). */
+constexpr std::uint64_t kFunctionalBlockCap = 512;
+
 oram::OramDeviceSpec
 innerSpec(const RecoveryRunConfig &cfg)
 {
     oram::OramDeviceSpec spec;
     spec.kind = cfg.deviceKind;
-    spec.keySeed = mixSeed(cfg.seed, 0x0de71ce5ull);
-    spec.functionalBlockCap = cfg.functionalBlockCap;
+    spec.functionalBlockCap = kFunctionalBlockCap;
     spec.fault = cfg.fault;
     spec.retryBudget = cfg.retryBudget;
     spec.pathMode = cfg.pathMode;
@@ -43,69 +46,66 @@ innerSpec(const RecoveryRunConfig &cfg)
     return spec;
 }
 
-protocol::LeakageParams
-runParams(const RecoveryRunConfig &cfg)
+/** One lane whose in-flight bound covers the whole backlog: it is
+ *  queued before the first serve, and tokens retire only as served. */
+RingScheduler::Options
+laneOptions(std::uint64_t backlog)
 {
-    protocol::LeakageParams p;
-    // Single-candidate rate set: each decision reveals lg(1) = 0 bits,
-    // so every finite budget admits and the monitor ledger still runs
-    // (its state is part of what the checkpoint must round-trip).
-    p.rateCount = 1;
-    p.epoch0 = cfg.epoch0;
-    return p;
+    RingScheduler::Options opts;
+    opts.ringCapacity = std::max<std::uint64_t>(backlog, 2);
+    return opts;
 }
 
 } // namespace
 
 RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg)
-    : cfg_(cfg), mem_(dram::DramConfig{}), rng_(cfg.seed),
-      rates_(std::vector<Cycles>{cfg.rate}),
-      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_)
+    : cfg_(cfg), backlog_(materializeBacklog(cfg_)),
+      stack_(innerSpec(cfg_), cfg_.shards, cfg_.rate, cfg_.seed,
+             laneOptions(backlogTotal()))
 {
     tcoram_assert(cfg_.shards >= 1, "recovery run needs a shard");
-    if (workloadDriven())
-        materializeWorkload(); // overrides cfg_.sessions to the ranks
     tcoram_assert(cfg_.sessions >= 1, "recovery run needs a session");
-    device_ = std::make_unique<oram::ShardedOramDevice>(
-        innerSpec(cfg_), oram::OramConfig::benchConfig(), cfg_.shards,
-        mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
-    // One lane whose in-flight bound covers the whole backlog: it is
-    // queued before the first serve, and tokens retire only as served.
-    RingScheduler::Options opts;
-    opts.ringCapacity = std::max<std::uint64_t>(backlogTotal(), 2);
-    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
-                                             learner_, cfg_.rate,
-                                             runParams(cfg_), opts);
     // Session 0 carries a finite budget so the shared LeakageMonitor
     // exists and its ledger is exercised (and checkpointed); with a
     // single-rate set the budget can never be exceeded.
     for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-        sched_->openSession(mixSeed(cfg_.seed, 0x5e55ull + s),
-                            s == 0 ? 64.0 : -1.0);
-    probeArrival_.assign(cfg_.sessions, cfg_.txnsPerSession);
+        stack_.scheduler().openSession(mixSeed(cfg_.seed, 0x5e55ull + s),
+                                       s == 0 ? 64.0 : -1.0);
+    probeArrival_.assign(cfg_.sessions, 0);
     // Probe arrivals must stay past every planned arrival (per-session
     // arrival order is asserted at enqueue).
-    for (const PlannedOp &op : plan_)
+    for (const PlannedOp &op : backlog_.plan)
         probeArrival_[op.session] =
             std::max(probeArrival_[op.session], op.arrival + 1);
 }
 
-void
-RecoveryRun::materializeWorkload()
+RecoveryRun::Backlog
+RecoveryRun::materializeBacklog(RecoveryRunConfig &cfg)
 {
     using workload::WorkloadOp;
     using workload::WorkloadOpKind;
+    Backlog b;
+    if (cfg.workloadSpec.empty()) {
+        // Open-loop: the whole backlog arrives up front (session s's
+        // k-th transaction at cycle k), the saturation regime where
+        // every shard serves back-to-back and the slot grid never
+        // breaks.
+        for (std::uint64_t k = 0; k < cfg.txnsPerSession; ++k)
+            for (std::uint32_t s = 0; s < cfg.sessions; ++s)
+                b.plan.push_back({s, k, blockId(s, k), k % 3 == 0});
+        return b;
+    }
     const workload::WorkloadParams params =
-        workload::parseWorkloadSpec(cfg_.workloadSpec);
+        workload::parseWorkloadSpec(cfg.workloadSpec);
     const auto source = workload::loadWorkload(params);
-    checkpointIntervalOps_ = source->checkpointIntervalOps();
-    cfg_.sessions = source->ranks();
+    b.intervalOps = source->checkpointIntervalOps();
+    cfg.sessions = source->ranks();
     const std::uint64_t blocks = oram::OramConfig::benchConfig().numBlocks;
-    // Walk each rank's stream to End, mapping access ops onto blocks
-    // the way the replay driver does; think time stretches the rank's
-    // arrival clock. A checkpointAfter request becomes a served-count
-    // mark: serve until servedTotal() hits it, snapshot, continue.
-    for (std::uint32_t rank = 0; rank < cfg_.sessions; ++rank) {
+    // Walk each rank's stream to End, mapping access ops onto blocks;
+    // think time stretches the rank's arrival clock. A checkpointAfter
+    // request becomes a served-count mark: serve until servedTotal()
+    // hits it, snapshot, continue.
+    for (std::uint32_t rank = 0; rank < cfg.sessions; ++rank) {
         Cycles arrival = 0;
         for (;;) {
             const WorkloadOp op = source->getNext(rank);
@@ -118,17 +118,19 @@ RecoveryRun::materializeWorkload()
             const std::uint32_t n =
                 op.kind == WorkloadOpKind::Scan ? op.scanLen : 1;
             for (std::uint32_t j = 0; j < n; ++j) {
-                plan_.push_back({rank, arrival++, (op.key + j) % blocks,
-                                 op.kind == WorkloadOpKind::Put});
+                b.plan.push_back({rank, arrival++, (op.key + j) % blocks,
+                                  op.kind == WorkloadOpKind::Put});
             }
             if (op.checkpointAfter)
-                marks_.push_back(plan_.size());
-            tcoram_assert(plan_.size() < (1u << 24),
+                b.marks.push_back(b.plan.size());
+            tcoram_assert(b.plan.size() < (1u << 24),
                           "workload-driven recovery backlog too large");
         }
     }
-    std::sort(marks_.begin(), marks_.end());
-    marks_.erase(std::unique(marks_.begin(), marks_.end()), marks_.end());
+    std::sort(b.marks.begin(), b.marks.end());
+    b.marks.erase(std::unique(b.marks.begin(), b.marks.end()),
+                  b.marks.end());
+    return b;
 }
 
 RecoveryRun::~RecoveryRun() = default;
@@ -138,31 +140,20 @@ RecoveryRun::start()
 {
     tcoram_assert(!started_, "run already started or restored");
     started_ = true;
-    if (workloadDriven()) {
-        for (const PlannedOp &op : plan_)
-            submit(op.session, op.arrival,
-                   timing::OramTransaction::real(op.blockId, op.isWrite,
-                                                 op.session));
-    } else {
-        // Open-loop: the whole backlog arrives up front (session s's
-        // k-th transaction at cycle k), the saturation regime where
-        // every shard serves back-to-back and the slot grid never
-        // breaks.
-        for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
-            for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-                submit(s, k,
-                       timing::OramTransaction::real(blockId(s, k),
-                                                     k % 3 == 0, s));
-    }
+    for (const PlannedOp &op : backlog_.plan)
+        submit(op.session, op.arrival,
+               timing::OramTransaction::real(op.blockId, op.isWrite,
+                                             op.session));
     // Move the backlog into the shard queues: checkpointable from here.
-    sched_->serveUpTo(0);
+    stack_.scheduler().serveUpTo(0);
 }
 
 void
 RecoveryRun::submit(std::uint32_t session, Cycles arrival,
                     const timing::OramTransaction &txn)
 {
-    const bool ok = sched_->trySubmit(session, arrival, txn).has_value();
+    const bool ok =
+        stack_.scheduler().trySubmit(session, arrival, txn).has_value();
     tcoram_assert(ok, "backlog exceeds the lane's in-flight bound");
 }
 
@@ -170,7 +161,7 @@ void
 RecoveryRun::collectCompletions()
 {
     SessionRing::Completion c;
-    while (sched_->lane(0).popCompletion(c))
+    while (stack_.scheduler().lane(0).popCompletion(c))
         lastReal_ = std::max(lastReal_, c.completion.done);
 }
 
@@ -178,7 +169,7 @@ bool
 RecoveryRun::serveOne()
 {
     tcoram_assert(started_, "start() or restoreFrom() first");
-    const bool served = sched_->serveUpTo(1) == 1;
+    const bool served = stack_.scheduler().serveUpTo(1) == 1;
     collectCompletions();
     return served;
 }
@@ -186,15 +177,13 @@ RecoveryRun::serveOne()
 Cycles
 RecoveryRun::finish()
 {
-    sched_->runUntilIdle();
+    stack_.scheduler().runUntilIdle();
     collectCompletions();
     // The drain horizon is derived from lastReal_, which restoreFrom()
     // reloads — an interrupted-and-restored run and the uninterrupted
     // one compute the identical horizon and hence identical streams.
-    const Cycles horizon =
-        lastReal_ +
-        cfg_.drainSlackPeriods * (cfg_.rate + device_->accessLatency());
-    sched_->drainUntil(horizon);
+    const Cycles horizon = stack_.drainHorizon(lastReal_);
+    stack_.scheduler().drainUntil(horizon);
     return horizon;
 }
 
@@ -207,8 +196,8 @@ RecoveryRun::saveTo(const std::string &path) const
     w.u64(probeArrival_.size());
     for (const Cycles a : probeArrival_)
         w.u64(a);
-    device_->saveState(w);
-    sched_->saveState(w);
+    stack_.device().saveState(w);
+    stack_.scheduler().saveState(w);
     return saveCheckpoint(path, w.data());
 }
 
@@ -228,8 +217,8 @@ RecoveryRun::restoreFrom(const std::string &path)
                   "snapshot session count mismatch");
     for (Cycles &a : probeArrival_)
         a = r.u64();
-    device_->restoreState(r);
-    sched_->restoreState(r);
+    stack_.device().restoreState(r);
+    stack_.scheduler().restoreState(r);
     if (!r.atEnd())
         return std::string("checkpoint: payload does not match this "
                            "configuration (decode ") +
@@ -237,77 +226,45 @@ RecoveryRun::restoreFrom(const std::string &path)
     return {};
 }
 
-std::vector<RecoveryRun::Event>
-RecoveryRun::shardStream(std::uint32_t i) const
-{
-    const timing::RecordingOramDevice *rec = device_->recorder(i);
-    tcoram_assert(rec != nullptr, "recovery runs always record");
-    std::vector<Event> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
-        out.push_back(
-            {r.completion.start,
-             r.kind == timing::OramTransaction::Kind::Real});
-    return out;
-}
-
 std::uint64_t
 RecoveryRun::faultsInjected() const
 {
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsInjected();
-    return n;
+    return stack_.sumFunctional(&oram::FunctionalOramDevice::faultsInjected);
 }
 
 std::uint64_t
 RecoveryRun::faultsDetected() const
 {
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsDetected();
-    return n;
+    return stack_.sumFunctional(&oram::FunctionalOramDevice::faultsDetected);
 }
 
 std::uint64_t
 RecoveryRun::faultsRecovered() const
 {
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsRecovered();
-    return n;
+    return stack_.sumFunctional(
+        &oram::FunctionalOramDevice::faultsRecovered);
 }
 
 std::uint64_t
 RecoveryRun::retriesIssued() const
 {
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->retriesIssued();
-    return n;
+    return stack_.sumFunctional(&oram::FunctionalOramDevice::retriesIssued);
 }
 
 std::uint64_t
 RecoveryRun::recoverySlots() const
 {
     std::uint64_t n = 0;
-    for (std::size_t i = 0; i < sched_->shardCount(); ++i)
-        n += sched_->shard(i).enforcer().counters().recoverySlots();
+    const RingScheduler &sched = stack_.scheduler();
+    for (std::size_t i = 0; i < sched.shardCount(); ++i)
+        n += sched.shard(i).enforcer().counters().recoverySlots();
     return n;
 }
 
 std::uint64_t
 RecoveryRun::evictionsIssued() const
 {
-    return device_->evictionsIssued();
+    return stack_.device().evictionsIssued();
 }
 
 std::uint64_t
@@ -317,7 +274,7 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
         return 0; // timing backends move no payloads
     tcoram_assert(started_ && servedTotal() >= backlogTotal(),
                   "probe after the backlog is drained");
-    const std::uint64_t bytes = device_->shardConfig().blockBytes;
+    const std::uint64_t bytes = stack_.device().shardConfig().blockBytes;
     std::vector<std::uint8_t> wrote(bytes);
     std::vector<std::uint8_t> read(bytes);
     std::uint64_t mismatches = 0;
@@ -352,7 +309,7 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
 std::string
 RecoveryRun::csvHeader()
 {
-    return "kind,shards,sessions,txns_per_session,rate,fault_spec,"
+    return "kind,shards,sessions,backlog,rate,fault_spec,"
            "served,last_real,faults_injected,faults_detected,"
            "faults_recovered,retries,recovery_slots";
 }
@@ -362,7 +319,7 @@ RecoveryRun::csvRow() const
 {
     std::ostringstream os;
     os << cfg_.deviceKind << ',' << cfg_.shards << ',' << cfg_.sessions
-       << ',' << cfg_.txnsPerSession << ',' << cfg_.rate << ','
+       << ',' << backlogTotal() << ',' << cfg_.rate << ','
        << (cfg_.fault.enabled() ? cfg_.fault.toString() : "none") << ','
        << servedTotal() << ',' << lastReal_ << ',' << faultsInjected() << ','
        << faultsDetected() << ',' << faultsRecovered() << ','

@@ -1,11 +1,21 @@
 /**
  * @file
- * RecoveryRun: the crash-consistent run harness behind the fault-
- * recovery bench, the checkpoint tests and cli_sim's checkpoint mode.
- * It owns the whole deterministic stack — DRAM model, sharded device
- * array (recorded), rate configuration, ring scheduler — and drives
- * one open-loop multi-session workload through it on a single worker,
- * with three additions over driving the scheduler directly:
+ * RecoveryRun: the open-loop, crash-consistent run harness behind the
+ * fault-recovery bench, the checkpoint tests and cli_sim's checkpoint
+ * and workload modes. It stands on the shared ServingStack
+ * (sim/serving_stack.hh) and queues one open-loop multi-session
+ * backlog on a single lane, served by a single worker. The backlog is
+ * either the synthetic one (every session's k-th transaction arrives
+ * at cycle k) or, with a workload spec, any workload-plane op stream
+ * replayed as raw ORAM traffic (workload/workload_source.hh):
+ *
+ *   Get k       -> real read  of block k mod numBlocks
+ *   Put k       -> real write of block k mod numBlocks
+ *   Scan k, n   -> n real reads of blocks k .. k+n-1 (mod numBlocks)
+ *   Think t     -> the rank's arrival clock advances t cycles
+ *
+ * one session per rank, one arrival per access. On top of serving it
+ * adds:
  *
  *  - checkpoint: saveTo() serializes the complete run state (device
  *    array including functional tree images and fault-injector draws,
@@ -17,32 +27,28 @@
  *    serving continues bit-exactly where the saved run left off — the
  *    completed run's observable shard streams, stats and counters are
  *    indistinguishable from an uninterrupted run (golden-pinned);
+ *    workload snapshot requests (the "daly" chain) become
+ *    checkpointMarks();
  *  - fault accounting: the per-shard fault/recovery counters and the
  *    enforcer-charged recovery slots are summed for reporting.
  *
  * Determinism contract: everything is derived from the config (seeds
  * included), so two RecoveryRuns with equal configs produce identical
  * streams — the bit-identity gates in bench_fault_recovery and
- * tests/test_fault_recovery rest on this.
+ * tests/test_fault_recovery rest on this, and so does the recorded-
+ * trace replay identity in bench_kv_serving.
  */
 
 #ifndef TCORAM_SIM_RECOVERY_RUN_HH
 #define TCORAM_SIM_RECOVERY_RUN_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-#include "dram/dram_model.hh"
 #include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 
 namespace tcoram::sim {
 
@@ -61,8 +67,6 @@ struct RecoveryRunConfig
     /** Fault model (data kinds arm the functional datapath). */
     dram::FaultSpec fault{};
     unsigned retryBudget = 4;
-    /** Functional tree capacity cap (keeps host memory bounded). */
-    std::uint64_t functionalBlockCap = 512;
     /** Path read/write-back scheduling of each shard's controller
      *  (the golden-pinned recovery streams run Sync). */
     oram::PathMode pathMode = oram::PathMode::Sync;
@@ -70,11 +74,6 @@ struct RecoveryRunConfig
      *  non-off; oram/eviction_engine.hh). */
     oram::EvictionPolicy evictionPolicy = oram::EvictionPolicy::Off;
     std::uint32_t evictionBudget = 0;
-    /** First epoch length; small enough that runs cross boundaries. */
-    Cycles epoch0 = Cycles{1} << 18;
-    /** Trailing-dummy drain horizon, in slot periods past the last
-     *  real completion. */
-    Cycles drainSlackPeriods = 8;
     /**
      * Workload-plane spec ("method:k=v,..."; workload/
      * workload_source.hh). Empty keeps the legacy synthetic backlog.
@@ -90,18 +89,7 @@ struct RecoveryRunConfig
 class RecoveryRun
 {
   public:
-    /** One observable stream event (per-shard, adversary's view). */
-    struct Event
-    {
-        Cycles start = 0;
-        bool real = false;
-
-        bool
-        operator==(const Event &o) const
-        {
-            return start == o.start && real == o.real;
-        }
-    };
+    using Event = ServingStack::Event;
 
     /** Construct the stack and open the sessions (no work queued). */
     explicit RecoveryRun(const RecoveryRunConfig &cfg);
@@ -131,14 +119,13 @@ class RecoveryRun
      *  string on success, else the save diagnostic. */
     std::string saveTo(const std::string &path) const;
 
-    std::uint64_t servedTotal() const { return sched_->servedTotal(); }
-    std::uint64_t backlogTotal() const
+    std::uint64_t servedTotal() const
     {
-        if (workloadDriven())
-            return plan_.size();
-        return static_cast<std::uint64_t>(cfg_.sessions) *
-               cfg_.txnsPerSession;
+        return stack_.scheduler().servedTotal();
     }
+    /** Transactions the backlog queues (the workload's accesses in
+     *  workload-driven mode, else sessions * txnsPerSession). */
+    std::uint64_t backlogTotal() const { return backlog_.plan.size(); }
     bool workloadDriven() const { return !cfg_.workloadSpec.empty(); }
     /**
      * Served-count marks at which the workload asked for a snapshot
@@ -147,22 +134,32 @@ class RecoveryRun
      */
     const std::vector<std::uint64_t> &checkpointMarks() const
     {
-        return marks_;
+        return backlog_.marks;
     }
     /** The workload's computed checkpoint interval in ops (0 when the
      *  method has none — workload/workload_source.hh). */
     std::uint64_t checkpointIntervalOps() const
     {
-        return checkpointIntervalOps_;
+        return backlog_.intervalOps;
     }
     Cycles lastRealCompletion() const { return lastReal_; }
 
-    std::uint32_t shardCount() const { return device_->shardCount(); }
+    std::uint32_t shardCount() const { return stack_.shardCount(); }
+    /** Shard @p i's enforced slot period (ServingStack::shardPeriod). */
+    Cycles shardPeriod(std::uint32_t i) const
+    {
+        return stack_.shardPeriod(i);
+    }
     /** Shard @p i's full recorded stream (reals and dummies). */
-    std::vector<Event> shardStream(std::uint32_t i) const;
+    std::vector<Event> shardStream(std::uint32_t i) const
+    {
+        return stack_.shardStream(i);
+    }
+    /** Every shard's stream CSV (ServingStack::streamCsv). */
+    std::string streamCsv() const { return stack_.streamCsv(); }
+    bool allTokensRetired() const { return stack_.allTokensRetired(); }
 
-    const RingScheduler &scheduler() const { return *sched_; }
-    oram::ShardedOramDevice &device() { return *device_; }
+    oram::ShardedOramDevice &device() { return stack_.device(); }
     const RecoveryRunConfig &config() const { return cfg_; }
 
     /** Fault/recovery counters summed over functional shards (all
@@ -186,12 +183,13 @@ class RecoveryRun
      */
     std::uint64_t verifyPayloads(std::uint64_t probes);
 
-    /** One CSV row: config echo + outcome + fault counters. */
+    /** One CSV row: config echo (backlog = backlogTotal()) +
+     *  outcome + fault counters. */
     std::string csvRow() const;
     static std::string csvHeader();
 
   private:
-    /** One materialized workload access (workload-driven mode). */
+    /** One queued backlog access. */
     struct PlannedOp
     {
         std::uint32_t session = 0;
@@ -200,29 +198,31 @@ class RecoveryRun
         bool isWrite = false;
     };
 
-    void materializeWorkload();
+    /** The whole open-loop backlog, materialized at construction
+     *  (synthetic, or the workload spec's op stream). */
+    struct Backlog
+    {
+        std::vector<PlannedOp> plan;
+        /** Served-count checkpoint marks, ascending. */
+        std::vector<std::uint64_t> marks;
+        std::uint64_t intervalOps = 0;
+    };
+
+    /** Overrides @p cfg.sessions with the workload's rank count. */
+    static Backlog materializeBacklog(RecoveryRunConfig &cfg);
     void submit(std::uint32_t session, Cycles arrival,
                 const timing::OramTransaction &txn);
     /** Pop the served completions off the lane (retiring tokens). */
     void collectCompletions();
 
     RecoveryRunConfig cfg_;
-    dram::DramModel mem_;
-    Rng rng_;
-    timing::RateSet rates_;
-    timing::EpochSchedule schedule_;
-    timing::RateLearner learner_;
-    std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<RingScheduler> sched_;
+    /** Built before the stack: the lane's in-flight bound covers it. */
+    Backlog backlog_;
+    ServingStack stack_;
     bool started_ = false;
     Cycles lastReal_ = 0;
     /** Next probe arrival per session (after the backlog's arrivals). */
     std::vector<Cycles> probeArrival_;
-    /** Workload-driven backlog (empty in legacy mode). */
-    std::vector<PlannedOp> plan_;
-    /** Served-count checkpoint marks, ascending. */
-    std::vector<std::uint64_t> marks_;
-    std::uint64_t checkpointIntervalOps_ = 0;
 };
 
 } // namespace tcoram::sim

@@ -138,6 +138,13 @@ RingScheduler::lane(std::size_t l)
     return *lanes_[l];
 }
 
+const SessionRing &
+RingScheduler::lane(std::size_t l) const
+{
+    tcoram_assert(l < lanes_.size(), "unknown lane ", l);
+    return *lanes_[l];
+}
+
 void
 RingScheduler::laneStep(unsigned worker)
 {

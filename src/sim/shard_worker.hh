@@ -199,6 +199,7 @@ class RingScheduler
 
     /** Lane @p l's ring pair (completion popping, fence polling). */
     SessionRing &lane(std::size_t l);
+    const SessionRing &lane(std::size_t l) const;
 
     /**
      * Run phased rounds until every ring, staging buffer and shard

@@ -4,10 +4,12 @@
  * per-rank generator determinism under interleaving, the versioned
  * binary op-trace format (round-trip + rejection), KV-over-ORAM block
  * packing (inline/spill round trips, probing, updates, misses, failed
- * puts), the KV-serving harness's worker-count bit-identity, the
- * synthetic-vs-recorded-trace replay identity, the Daly checkpoint
- * method driving RecoveryRun's snapshot chain, and the SystemConfig /
- * stat-dump plumbing around all of it.
+ * puts), the KV-serving harness's pinned streams, worker-count
+ * bit-identity and freshness oracle, op-stream replay through
+ * RecoveryRun's workload backlog (synthetic-vs-recorded-trace
+ * identity, the reported backlog), the Daly checkpoint method driving
+ * RecoveryRun's snapshot chain, and the SystemConfig / stat-dump
+ * plumbing around all of it.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,7 +30,6 @@
 #include "sim/recovery_run.hh"
 #include "sim/stat_dump.hh"
 #include "sim/system_config.hh"
-#include "sim/workload_driver.hh"
 #include "workload/op_trace.hh"
 #include "workload/workload_source.hh"
 
@@ -438,12 +441,56 @@ TEST(KvServing, SelfVerifyingValueCodec)
     std::vector<std::uint8_t> value;
     sim::KvServingRun::buildValue(value, 0x1234'5678'9abcull, 7, 64);
     EXPECT_EQ(value.size(), 64u);
-    EXPECT_TRUE(
-        sim::KvServingRun::checkValue(value, 0x1234'5678'9abcull));
+    EXPECT_EQ(sim::KvServingRun::checkValue(value, 0x1234'5678'9abcull),
+              std::optional<std::uint64_t>(7));
     EXPECT_FALSE(sim::KvServingRun::checkValue(value, 0x999ull));
     value[40] ^= 1;
     EXPECT_FALSE(
         sim::KvServingRun::checkValue(value, 0x1234'5678'9abcull));
+}
+
+TEST(KvServing, FreshnessOracleCountsStaleReadsAndLostUpdates)
+{
+    // Session 1's first put, then session 2's put of the same key.
+    const std::uint64_t key = 5;
+    const std::uint64_t v1 = (std::uint64_t{1} << 32) | 0;
+    const std::uint64_t v2 = (std::uint64_t{2} << 32) | 0;
+    std::vector<std::uint8_t> old_value, new_value;
+    sim::KvServingRun::buildValue(old_value, key, v1, 32);
+    sim::KvServingRun::buildValue(new_value, key, v2, 32);
+
+    sim::KvFreshnessOracle oracle(16);
+    std::uint64_t mismatches = 0;
+    auto read = [&](std::uint64_t k, bool hit,
+                    const std::vector<std::uint8_t> &value) {
+        mismatches += !oracle.fresh(k, hit, value) ? 1 : 0;
+    };
+    read(key, /*hit=*/false, {}); // never put: a miss is fresh
+    oracle.commit(key, v1);
+    read(key, true, old_value); // the latest commit: fresh
+    EXPECT_EQ(mismatches, 0u);
+
+    oracle.commit(key, v2);
+    read(key, true, old_value); // stale: an older version
+    EXPECT_EQ(mismatches, 1u);
+    read(key, false, {}); // lost update: a miss after a commit
+    EXPECT_EQ(mismatches, 2u);
+    read(key, true, new_value); // the latest commit again: fresh
+    EXPECT_EQ(mismatches, 2u);
+
+    // Integrity still counts: a corrupted latest version, and a value
+    // of another key.
+    std::vector<std::uint8_t> torn = new_value;
+    torn[20] ^= 1;
+    read(key, true, torn);
+    read(key + 1, true, new_value);
+    EXPECT_EQ(mismatches, 4u);
+    // Keys beyond the table are integrity-checked only.
+    std::vector<std::uint8_t> far_value;
+    sim::KvServingRun::buildValue(far_value, 99, v1, 32);
+    read(99, true, far_value);
+    read(99, false, {});
+    EXPECT_EQ(mismatches, 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -485,6 +532,49 @@ TEST(KvServing, WorkerCountsAreBitIdentical)
     EXPECT_EQ(four.stats().hits, one.stats().hits);
 }
 
+TEST(KvServing, GoldenPinnedServingStream)
+{
+    // Absolute pins of the serving run, recorded before the serving
+    // stack was shared with RecoveryRun: FNV-1a over the whole stream
+    // CSV plus the KV counters. Payload bytes are not observable, so
+    // the pins also hold across payload-codec changes; a harness
+    // change that moves any slot, kind or count fails them.
+    struct Pin
+    {
+        double getFraction;
+        std::size_t csvBytes;
+        std::uint64_t csvDigest;
+        std::uint64_t hits, misses, oramReads, oramWrites, ops;
+    };
+    const Pin pins[] = {
+        // smallServing() as is: gets and scans only.
+        {0.9, 3912, 6185136912462332666ull, 0, 286, 286, 0, 286},
+        // With 30% puts: inserts, updates, spills and hits.
+        {0.6, 6321, 3729742931735547804ull, 111, 72, 346, 142, 277},
+    };
+    for (const Pin &pin : pins) {
+        auto cfg = smallServing();
+        cfg.workload.getFraction = pin.getFraction;
+        sim::KvServingRun run(cfg);
+        run.run();
+        const std::string csv = run.streamCsv();
+        std::uint64_t h = 1469598103934665603ull;
+        for (const char c : csv) {
+            h ^= static_cast<std::uint8_t>(c);
+            h *= 1099511628211ull;
+        }
+        EXPECT_EQ(csv.size(), pin.csvBytes) << pin.getFraction;
+        EXPECT_EQ(h, pin.csvDigest) << pin.getFraction;
+        const sim::KVStats st = run.stats();
+        EXPECT_EQ(st.hits, pin.hits) << pin.getFraction;
+        EXPECT_EQ(st.misses, pin.misses) << pin.getFraction;
+        EXPECT_EQ(st.oramReads, pin.oramReads) << pin.getFraction;
+        EXPECT_EQ(st.oramWrites, pin.oramWrites) << pin.getFraction;
+        EXPECT_EQ(run.opsCompleted(), pin.ops) << pin.getFraction;
+        EXPECT_EQ(run.payloadMismatches(), 0u) << pin.getFraction;
+    }
+}
+
 TEST(KvServing, MultiProducerServesEverythingCleanly)
 {
     auto cfg = smallServing();
@@ -502,53 +592,91 @@ TEST(KvServing, MultiProducerServesEverythingCleanly)
     EXPECT_EQ(mp.opsCompleted(), sp.opsCompleted());
 }
 
-TEST(KvServingDeath, RejectsAliasingFunctionalCap)
+TEST(KvServingDeath, RejectsTableLargerThanShardSubtree)
 {
     auto cfg = smallServing();
-    cfg.functionalBlockCap = 16; // would fold the KV table
-    EXPECT_DEATH({ sim::KvServingRun run(cfg); }, "fold");
+    cfg.kv.homeSlots = 1u << 15; // 3 * 2^15 blocks > 2^15 per shard
+    EXPECT_DEATH({ sim::KvServingRun run(cfg); }, "per-shard subtree");
 }
 
 // ---------------------------------------------------------------------
-// Replay driver: one API, bit-identical trace replay
+// Op-stream replay through RecoveryRun's workload backlog: one API,
+// bit-identical trace replay
 
-TEST(WorkloadReplay, RecordedTraceIsBitIdentical)
+namespace {
+
+/** Serve @p spec's whole backlog (2 shards) and drain. */
+std::unique_ptr<sim::RecoveryRun>
+replayed(const std::string &spec)
 {
-    sim::WorkloadReplayConfig cfg;
+    sim::RecoveryRunConfig cfg;
     cfg.shards = 2;
-    cfg.workload.method = "synthetic";
-    cfg.workload.ranks = 4;
-    cfg.workload.opsPerRank = 32;
-    sim::WorkloadReplayRun synth(cfg);
-    synth.run();
-    EXPECT_TRUE(synth.allTokensRetired());
+    cfg.rate = 300;
+    cfg.workloadSpec = spec;
+    auto run = std::make_unique<sim::RecoveryRun>(cfg);
+    run->start();
+    run->finish();
+    return run;
+}
+
+} // namespace
+
+TEST(RecoveryRunWorkload, RecordedTraceIsBitIdentical)
+{
+    const std::string spec = "synthetic:ranks=4,ops=32";
+    const auto synth = replayed(spec);
+    EXPECT_TRUE(synth->allTokensRetired());
+    EXPECT_EQ(synth->servedTotal(), synth->backlogTotal());
 
     const std::string path = tmpPath("replay_identity.trace");
     {
-        auto src = workload::loadWorkload(cfg.workload);
+        auto src = workload::loadWorkload(workload::parseWorkloadSpec(spec));
         ASSERT_EQ(workload::writeOpTrace(path,
                                          workload::recordOpTrace(*src)),
                   "");
     }
-    auto tcfg = cfg;
-    tcfg.workload.method = "trace";
-    tcfg.workload.path = path;
-    sim::WorkloadReplayRun replay(tcfg);
-    replay.run();
-    EXPECT_EQ(replay.streamCsv(), synth.streamCsv());
-    EXPECT_EQ(replay.opsCompleted(), synth.opsCompleted());
+    const auto replay = replayed("trace:path=" + path);
+    EXPECT_EQ(replay->streamCsv(), synth->streamCsv());
+    EXPECT_EQ(replay->servedTotal(), synth->servedTotal());
+    EXPECT_EQ(replay->backlogTotal(), synth->backlogTotal());
     std::remove(path.c_str());
 }
 
-TEST(WorkloadReplay, KvMethodRunsThroughTheSameApi)
+TEST(RecoveryRunWorkload, KvMethodRunsThroughTheSameApi)
 {
-    sim::WorkloadReplayConfig cfg;
-    cfg.shards = 2;
-    cfg.workload = kvParams();
-    sim::WorkloadReplayRun run(cfg);
-    run.run();
-    EXPECT_TRUE(run.allTokensRetired());
-    EXPECT_GT(run.opsCompleted(), 0u);
+    const auto run = replayed("kv:ranks=3,ops=40,keys=64,theta=0.9,"
+                              "get=0.6,scan=0.2,scanlen=4,think=50");
+    EXPECT_TRUE(run->allTokensRetired());
+    EXPECT_EQ(run->config().sessions, 3u);
+    EXPECT_GT(run->backlogTotal(), 0u);
+    EXPECT_EQ(run->servedTotal(), run->backlogTotal());
+}
+
+TEST(RecoveryRunWorkload, CsvRowReportsTheQueuedBacklog)
+{
+    auto starts_with = [](const std::string &row, const std::string &p) {
+        return row.compare(0, p.size(), p) == 0;
+    };
+    EXPECT_TRUE(starts_with(sim::RecoveryRun::csvHeader(),
+                            "kind,shards,sessions,backlog,rate,"));
+
+    // Synthetic mode: sessions * txnsPerSession.
+    sim::RecoveryRunConfig cfg;
+    cfg.sessions = 3;
+    cfg.txnsPerSession = 5;
+    sim::RecoveryRun synthetic(cfg);
+    synthetic.start();
+    synthetic.finish();
+    EXPECT_TRUE(starts_with(synthetic.csvRow(), "timing,1,3,15,1000,"))
+        << synthetic.csvRow();
+
+    // Workload mode: the workload's accesses, not txnsPerSession.
+    const auto daly = replayed("daly:ranks=2,ops=40,mtti=1e5,delta=4500,"
+                               "opcycles=1000");
+    EXPECT_EQ(daly->backlogTotal(), 80u);
+    EXPECT_EQ(daly->servedTotal(), 80u);
+    EXPECT_TRUE(starts_with(daly->csvRow(), "timing,2,2,80,300,"))
+        << daly->csvRow();
 }
 
 // ---------------------------------------------------------------------
