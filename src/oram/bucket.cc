@@ -38,16 +38,6 @@ Bucket::insert(const BlockSlot &slot)
     return false;
 }
 
-void
-Bucket::clear()
-{
-    for (auto &s : slots_) {
-        s.id = kInvalidId;
-        s.leaf = 0;
-        s.payload.assign(blockBytes_, 0);
-    }
-}
-
 std::uint64_t
 Bucket::serializedBytes() const
 {

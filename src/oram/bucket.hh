@@ -40,9 +40,6 @@ class Bucket
     /** Insert a real block; returns false if no dummy slot is free. */
     bool insert(const BlockSlot &slot);
 
-    /** Clear every slot back to dummy. */
-    void clear();
-
     std::vector<BlockSlot> &slots() { return slots_; }
     const std::vector<BlockSlot> &slots() const { return slots_; }
 

@@ -1,7 +1,5 @@
 #include "oram/bucket_codec.hh"
 
-#include <cstring>
-
 #include "common/log.hh"
 #include "oram/bucket.hh"
 
@@ -19,16 +17,9 @@ BucketCodec::encode(const Bucket &bucket, std::span<std::uint8_t> out) const
     tcoram_assert(bucket.slots().size() == z_, "bucket Z mismatch");
     tcoram_assert(out.size() == serializedBytes(),
                   "encode buffer size mismatch");
-    std::size_t off = 0;
-    for (const auto &s : bucket.slots()) {
-        tcoram_assert(s.payload.size() == blockBytes_,
-                      "slot payload size mismatch");
-        for (int i = 0; i < 8; ++i)
-            out[off++] = static_cast<std::uint8_t>(s.id >> (8 * i));
-        for (int i = 0; i < 8; ++i)
-            out[off++] = static_cast<std::uint8_t>(s.leaf >> (8 * i));
-        std::memcpy(out.data() + off, s.payload.data(), blockBytes_);
-        off += blockBytes_;
+    for (unsigned i = 0; i < z_; ++i) {
+        const BlockSlot &s = bucket.slots()[i];
+        writeSlot(out, i, s.id, s.leaf, s.payload);
     }
 }
 
@@ -38,17 +29,12 @@ BucketCodec::decode(std::span<const std::uint8_t> in, Bucket &bucket) const
     tcoram_assert(bucket.slots().size() == z_, "bucket Z mismatch");
     tcoram_assert(in.size() == serializedBytes(),
                   "decode buffer size mismatch");
-    std::size_t off = 0;
-    for (auto &s : bucket.slots()) {
-        s.id = 0;
-        s.leaf = 0;
-        for (int i = 0; i < 8; ++i)
-            s.id |= static_cast<std::uint64_t>(in[off++]) << (8 * i);
-        for (int i = 0; i < 8; ++i)
-            s.leaf |= static_cast<std::uint64_t>(in[off++]) << (8 * i);
-        s.payload.resize(blockBytes_);
-        std::memcpy(s.payload.data(), in.data() + off, blockBytes_);
-        off += blockBytes_;
+    for (unsigned i = 0; i < z_; ++i) {
+        const SlotView v = readSlot(in, i);
+        BlockSlot &s = bucket.slots()[i];
+        s.id = v.id;
+        s.leaf = v.leaf;
+        s.payload.assign(v.payload.begin(), v.payload.end());
     }
 }
 

@@ -1,13 +1,18 @@
 /**
  * @file
  * Per-ORAM-instance scratch arena. Every buffer a path access needs —
- * the path's bucket indices, the per-level plaintext buckets, the
- * contiguous serialized-path arena the batched CTR engine reads/writes,
- * the CTR segment and nonce scratch, the eviction sweep's level
- * buckets, and the physical-transaction trace — is allocated once here
- * and reused, so steady-state PathOram::access()/dummyAccess() perform
- * zero heap allocations. The stash's slot pool (oram/stash.hh) is the
- * remaining piece of the arena discipline.
+ * the path's bucket indices, the contiguous serialized-path arena the
+ * batched CTR engine reads/writes, the CTR segment and nonce scratch,
+ * the eviction sweep's sort scratch, and the physical-transaction
+ * trace — is allocated once here and reused, so steady-state
+ * PathOram::access()/dummyAccess() perform zero heap allocations. The
+ * stash's slot pool (oram/stash.hh) is the remaining piece of the
+ * arena discipline.
+ *
+ * The path arena is the only plaintext staging between the CTR pass
+ * and the stash: a read unpacks its real slots straight into the stash
+ * and a write-back packs the stash straight into it (BucketCodec's
+ * slot reader and writers), with no per-level Bucket copies.
  */
 
 #ifndef TCORAM_ORAM_PATH_BUFFER_HH
@@ -16,9 +21,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/types.hh"
 #include "crypto/ctr.hh"
 #include "dram/memory_if.hh"
-#include "oram/bucket.hh"
 #include "oram/bucket_codec.hh"
 
 namespace tcoram::oram {
@@ -70,13 +75,8 @@ struct PathBuffer
      */
     PathBuffer(unsigned z, std::uint64_t block_bytes, unsigned levels,
                std::size_t stash_capacity)
-        : scratch(z, block_bytes),
-          plain(BucketCodec(z, block_bytes).serializedBytes()),
-          pathPlain(BucketCodec(z, block_bytes).pathBytes(levels))
+        : pathPlain(BucketCodec(z, block_bytes).pathBytes(levels))
     {
-        levelBuckets.reserve(levels);
-        for (unsigned l = 0; l < levels; ++l)
-            levelBuckets.emplace_back(z, block_bytes);
         pathIdx.resize(levels);
         segments.reserve(levels);
         nonces.resize(levels);
@@ -89,10 +89,8 @@ struct PathBuffer
         trace.reserve(levels);
     }
 
-    Bucket scratch;                   ///< one-bucket scratch (init path)
-    std::vector<std::uint8_t> plain;  ///< serialized one-bucket scratch
-    std::vector<std::uint8_t> pathPlain; ///< whole-path plaintext arena
-    std::vector<Bucket> levelBuckets; ///< plaintext bucket per level
+    /** Whole-path plaintext, level l's bucket at l * serializedBytes(). */
+    std::vector<std::uint8_t> pathPlain;
 
     /** Bucket index per level of the path being accessed, walked once
      *  by the read and reused by the write-back and the tag commit. */

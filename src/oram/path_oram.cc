@@ -6,6 +6,7 @@
 #include "common/bitutils.hh"
 #include "common/log.hh"
 #include "dram/faulty_memory.hh"
+#include "oram/bucket.hh"
 #include "oram/eviction_engine.hh"
 #include "oram/integrity.hh"
 
@@ -76,13 +77,17 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
     // because readPath() simply won't find them and the first access
     // remaps them to a fresh uniform leaf.
     //
-    // The whole tree shares one all-dummy plaintext; nonces are drawn
-    // in bulk and buckets encrypted kInitBatch at a time through the
-    // batched CTR engine.
+    // The whole tree shares one all-dummy plaintext, written by the
+    // codec's dummy-slot writer into the path arena's first bucket;
+    // nonces are drawn in bulk and buckets encrypted kInitBatch at a
+    // time through the batched CTR engine.
     const std::uint64_t buckets = cfg_.numBuckets();
     const std::uint64_t sb = codec_.serializedBytes();
     dram_.resize(buckets);
-    codec_.encode(buf_.scratch, buf_.plain); // scratch starts all-dummy
+    const std::span<std::uint8_t> dummy_plain =
+        std::span<std::uint8_t>(buf_.pathPlain).first(sb);
+    for (unsigned i = 0; i < cfg_.z; ++i)
+        codec_.writeDummySlot(dummy_plain, i);
 
     std::vector<std::uint64_t> nonces(
         std::min<std::uint64_t>(kInitBatch, buckets));
@@ -98,7 +103,7 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
             crypto::Ciphertext &ct = dram_[base + j];
             ct.nonce = nonces[j];
             ct.data.resize(sb);
-            segs.push_back({ct.nonce, buf_.plain, ct.data});
+            segs.push_back({ct.nonce, dummy_plain, ct.data});
         }
         cipher_.xcryptSegments(segs);
         ++cryptoCalls_;
@@ -214,8 +219,8 @@ PathOram::readPath(Leaf leaf)
     }
     // Walk the path once and start every bucket's cache misses, then
     // gather the on-path ciphertexts, decrypt them all with ONE
-    // batched CTR call into the contiguous path arena, and decode
-    // level by level into the stash.
+    // batched CTR call into the contiguous path arena, and unpack its
+    // real slots into the stash.
     walkPath(leaf);
     prefetchPath();
     const unsigned levels = cfg_.treeDepth() + 1;
@@ -231,14 +236,7 @@ PathOram::readPath(Leaf leaf)
              std::span<std::uint8_t>(buf_.pathPlain)
                  .subspan(level * sb, sb)});
     }
-    cipher_.xcryptSegments(buf_.segments);
-    ++cryptoCalls_;
-    codec_.decodePath(buf_.pathPlain, buf_.levelBuckets);
-
-    for (const Bucket &b : buf_.levelBuckets)
-        for (const auto &slot : b.slots())
-            if (!slot.isDummy())
-                stash_.put(slot);
+    decryptPathIntoStash();
 }
 
 void
@@ -304,22 +302,34 @@ PathOram::verifiedReadPath(Leaf leaf)
     if (detected_any)
         recovery_->recordRecovery();
 
-    cipher_.xcryptSegments(buf_.segments);
-    ++cryptoCalls_;
-    codec_.decodePath(buf_.pathPlain, buf_.levelBuckets);
-
-    for (const Bucket &b : buf_.levelBuckets)
-        for (const auto &slot : b.slots())
-            if (!slot.isDummy())
-                stash_.put(slot);
+    decryptPathIntoStash();
 }
 
 void
-PathOram::evictIntoLevelBuckets(Leaf leaf)
+PathOram::decryptPathIntoStash()
+{
+    // ONE batched CTR call over the segments the read built, then walk
+    // the levels x Z slot headers in place: each real slot's payload
+    // is copied once, straight from the arena into its stash slot, in
+    // root-first slot order (the stash's visit order depends on it);
+    // dummy slots are skipped, never copied.
+    cipher_.xcryptSegments(buf_.segments);
+    ++cryptoCalls_;
+    const std::size_t slots = std::size_t{cfg_.treeDepth() + 1} * cfg_.z;
+    for (std::size_t i = 0; i < slots; ++i) {
+        const BucketCodec::SlotView v = codec_.readSlot(buf_.pathPlain, i);
+        if (!v.isDummy())
+            stash_.put(v.id, v.leaf, v.payload);
+    }
+}
+
+void
+PathOram::evictIntoPath(Leaf leaf)
 {
     // Greedy write-back, deepest level first (standard Path ORAM
     // eviction): place each stash block in the deepest bucket on the
-    // accessed path that is also on the block's own path.
+    // accessed path that is also on the block's own path, packing it
+    // straight into that bucket's next free slot in the path arena.
     //
     // Each resident's deepest legal level is computed once (XOR of
     // leaf labels), then a stable counting sort buckets the sweep by
@@ -354,30 +364,40 @@ PathOram::evictIntoLevelBuckets(Leaf leaf)
 
     // Deepest-first fill with an overflow carry: a block whose level-L
     // bucket is full stays eligible for every shallower level on the
-    // path (its legality constraint is dl >= level).
+    // path (its legality constraint is dl >= level). Each level fills
+    // its slots in order — the carry first, then the level's sorted
+    // residents — and pads the rest with dummies.
+    const unsigned z = cfg_.z;
+    const std::span<std::uint8_t> arena(buf_.pathPlain);
     buf_.pending.clear();
     buf_.placed.clear();
     std::size_t next = 0; // cursor into sortedSlots
     for (unsigned l = levels; l-- > 0;) {
-        Bucket &b = buf_.levelBuckets[l];
-        b.clear();
+        const std::size_t first = std::size_t{l} * z;
+        unsigned fill = 0;
+        const auto place = [&](std::uint32_t idx) {
+            if (fill == z)
+                return false;
+            const BlockSlot &s = stash_.poolSlot(idx);
+            codec_.writeSlot(arena, first + fill++, s.id, s.leaf, s.payload);
+            buf_.placed.push_back(idx);
+            return true;
+        };
         std::size_t keep = 0;
-        for (const std::uint32_t idx : buf_.pending) {
-            if (b.insert(stash_.poolSlot(idx)))
-                buf_.placed.push_back(idx);
-            else
+        for (const std::uint32_t idx : buf_.pending)
+            if (!place(idx))
                 buf_.pending[keep++] = idx;
-        }
         buf_.pending.resize(keep);
         const std::size_t end = next + buf_.levelCount[l];
         for (; next < end; ++next) {
             const std::uint32_t idx = buf_.sortedSlots[next];
-            if (b.insert(stash_.poolSlot(idx)))
-                buf_.placed.push_back(idx);
-            else
+            if (!place(idx))
                 buf_.pending.push_back(idx);
         }
+        for (; fill < z; ++fill)
+            codec_.writeDummySlot(arena, first + fill);
     }
+    // Packed first: releaseMany tombstones the released slots' ids.
     stash_.releaseMany(buf_.placed);
 }
 
@@ -391,8 +411,7 @@ PathOram::writePath(Leaf leaf)
     const std::uint64_t sb = codec_.serializedBytes();
     const std::uint64_t bb = cfg_.bucketBytes();
 
-    evictIntoLevelBuckets(leaf);
-    codec_.encodePath(buf_.levelBuckets, buf_.pathPlain);
+    evictIntoPath(leaf);
 
     // Fresh nonces for the whole path in one batched PRF call (drawn
     // deepest level first, preserving the historical stream order),

@@ -18,6 +18,16 @@
  * pool. accessInto() is the zero-copy entry point; the vector-returning
  * access() is a convenience wrapper for tests and examples.
  *
+ * The path plaintext arena is the only staging between the CTR pass
+ * and the stash. A read walks the decrypted path's levels x Z slot
+ * headers in place and copies each real slot's payload once into the
+ * stash (dummies are skipped); the eviction sweep writes each placed
+ * block's header and payload straight into its level's next free slot
+ * and pads the rest with dummy slots. Both run BucketCodec's slot
+ * reader/writers, so the wire layout has one definition and no path
+ * is staged through Bucket objects (Bucket remains for checkInvariant,
+ * tests and probes).
+ *
  * Crypto is batched at path granularity: a path read decrypts every
  * bucket on the path with ONE CtrCipher::xcryptSegments call (each
  * bucket keeps its own nonce, so the wire format is unchanged), and a
@@ -59,7 +69,6 @@
 #include "crypto/ctr.hh"
 #include "crypto/prf.hh"
 #include "dram/memory_if.hh"
-#include "oram/bucket.hh"
 #include "oram/bucket_codec.hh"
 #include "oram/oram_config.hh"
 #include "oram/path_buffer.hh"
@@ -364,14 +373,20 @@ class PathOram
     void restoreState(ByteReader &r);
 
   private:
-    /** Batched path read: one CTR call, then decode into the stash. */
+    /** Batched path read: one CTR call, then unpack into the stash. */
     void readPath(Leaf leaf);
     /** readPath with per-bucket authentication and bounded retry. */
     void verifiedReadPath(Leaf leaf);
-    /** Batched write-back: evict, encode, one CTR call. */
+    /** The read's shared tail: decrypt buf_.segments into the path
+     *  arena with one CTR call, then put every real slot into the
+     *  stash (one payload copy each; dummies skipped). */
+    void decryptPathIntoStash();
+    /** Batched write-back: evict into the arena, one CTR call. */
     void writePath(Leaf leaf);
-    /** Eviction sweep, bucketed by precomputed deepest legal level. */
-    void evictIntoLevelBuckets(Leaf leaf);
+    /** Eviction sweep, bucketed by precomputed deepest legal level,
+     *  packing every placed block and the dummy padding straight into
+     *  the path arena. */
+    void evictIntoPath(Leaf leaf);
     /** Fresh uniform leaf from the batched remap cache. */
     Leaf nextLeaf();
     /** Fill buf_.pathIdx with every level's bucket index on the path

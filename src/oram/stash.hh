@@ -6,8 +6,11 @@
  * property tests probe for.
  *
  * Storage is a fixed slot pool allocated once at construction (part of
- * the ORAM's PathBuffer arena discipline): put/find/erase and the
- * eviction sweep perform zero heap allocations in steady state. With a
+ * the ORAM's PathBuffer arena discipline): put/find/take and the
+ * eviction sweep perform zero heap allocations in steady state. Blocks
+ * enter straight from the decrypted path arena (put takes a payload
+ * view) and leave straight into it (the eviction sweep reads pooled
+ * slots through activeIndices()/poolSlot()), with no Bucket staging. With a
  * few hundred resident blocks a linear index scan is faster than any
  * node-based map and keeps the structure allocation-free.
  */
@@ -37,8 +40,13 @@ class Stash
     explicit Stash(std::size_t capacity,
                    std::uint64_t block_bytes_hint = 0);
 
-    /** Add a block (replacing any prior copy with the same id). */
-    void put(const BlockSlot &slot);
+    /**
+     * Add a real block, copying @p payload once into its pooled slot;
+     * a resident copy with the same id is replaced in place. The path
+     * read calls this with payload views into the decrypted path
+     * arena, so an unpacked block is copied exactly once.
+     */
+    void put(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload);
 
     /**
      * Insert a zero-filled block for @p id (must be absent) and return

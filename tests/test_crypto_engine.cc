@@ -336,6 +336,73 @@ TEST(PathCodec, EncodeDecodePathRoundTrip)
     }
 }
 
+TEST(PathCodec, SlotWriterAndReaderMatchEncodeDecode)
+{
+    // The slot reader/writers are what the ORAM's path unpack and pack
+    // run over the path arena; encode/decode are what Bucket uses. On
+    // a bucket mixing real and dummy slots both must agree byte for
+    // byte, so the wire layout has one definition.
+    const unsigned z = 4;
+    const std::uint64_t bb = 48;
+    oram::BucketCodec codec(z, bb);
+    oram::Bucket b(z, bb);
+    Rng rng(23);
+    for (const unsigned i : {0u, 2u}) {
+        oram::BlockSlot &s = b.slots()[i];
+        s.id = 100 + i;
+        s.leaf = rng.next();
+        for (auto &x : s.payload)
+            x = static_cast<std::uint8_t>(rng.next());
+    }
+    ASSERT_TRUE(b.slots()[1].isDummy());
+    ASSERT_TRUE(b.slots()[3].isDummy());
+
+    std::vector<std::uint8_t> encoded(codec.serializedBytes());
+    codec.encode(b, encoded);
+
+    // Writers -> same bytes as encode (dummies: id kInvalidId, leaf 0,
+    // zero payload). Start from garbage so every byte is written.
+    std::vector<std::uint8_t> written(codec.serializedBytes(), 0xcc);
+    for (unsigned i = 0; i < z; ++i) {
+        const oram::BlockSlot &s = b.slots()[i];
+        if (s.isDummy())
+            codec.writeDummySlot(written, i);
+        else
+            codec.writeSlot(written, i, s.id, s.leaf, s.payload);
+    }
+    EXPECT_EQ(written, encoded);
+
+    // Reader over encode's bytes -> the bucket's slots.
+    for (unsigned i = 0; i < z; ++i) {
+        const oram::BucketCodec::SlotView v = codec.readSlot(encoded, i);
+        const oram::BlockSlot &s = b.slots()[i];
+        EXPECT_EQ(v.id, s.id) << "slot " << i;
+        EXPECT_EQ(v.isDummy(), s.isDummy()) << "slot " << i;
+        EXPECT_EQ(v.leaf, s.leaf) << "slot " << i;
+        EXPECT_TRUE(std::equal(v.payload.begin(), v.payload.end(),
+                               s.payload.begin(), s.payload.end()))
+            << "slot " << i;
+    }
+
+    // decode of the writers' bytes -> the same bucket.
+    oram::Bucket back(z, bb);
+    codec.decode(written, back);
+    for (unsigned i = 0; i < z; ++i) {
+        EXPECT_EQ(back.slots()[i].id, b.slots()[i].id);
+        EXPECT_EQ(back.slots()[i].leaf, b.slots()[i].leaf);
+        EXPECT_EQ(back.slots()[i].payload, b.slots()[i].payload);
+    }
+
+    // Over a path arena, level l's slot s is slot l * z + s.
+    std::vector<std::uint8_t> arena(codec.pathBytes(3), 0);
+    codec.writeSlot(arena, 2 * z + 1, 7, 9, b.slots()[0].payload);
+    std::vector<std::uint8_t> one(codec.serializedBytes());
+    std::copy_n(arena.begin() + 2 * codec.serializedBytes(), one.size(),
+                one.begin());
+    EXPECT_EQ(codec.readSlot(one, 1).id, 7u);
+    EXPECT_EQ(codec.readSlot(arena, 2 * z + 1).leaf, 9u);
+}
+
 TEST(PathOramCrossBackend, IdenticalDramImages)
 {
     // The whole functional ORAM must be backend-transparent: identical
@@ -381,11 +448,8 @@ TEST(StashSweep, ReleaseManyCompactsStably)
 {
     oram::Stash st(8);
     for (BlockId id = 0; id < 6; ++id) {
-        oram::BlockSlot s;
-        s.id = id;
-        s.leaf = id * 10;
-        s.payload = {static_cast<std::uint8_t>(id)};
-        st.put(s);
+        const std::uint8_t payload[] = {static_cast<std::uint8_t>(id)};
+        st.put(id, id * 10, payload);
     }
     // Release the pool slots holding ids 1 and 4.
     std::vector<std::uint32_t> victims;
@@ -401,11 +465,8 @@ TEST(StashSweep, ReleaseManyCompactsStably)
     for (BlockId id : {0u, 2u, 3u, 5u})
         EXPECT_TRUE(st.contains(id));
     // Released slots are reusable.
-    oram::BlockSlot s;
-    s.id = 100;
-    s.leaf = 1;
-    s.payload = {9};
-    st.put(s);
+    const std::uint8_t payload[] = {9};
+    st.put(100, 1, payload);
     EXPECT_EQ(st.size(), 5u);
 }
 

@@ -24,6 +24,7 @@
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "crypto/sha256.hh"
+#include "dram/faulty_memory.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
 #include "sim/experiment.hh"
@@ -363,13 +364,11 @@ goldenImageDigest(const oram::RecursivePathOram &o)
     return crypto::toHex(crypto::Sha256::hash(w.data()));
 }
 
-TEST(FusedDatapath, GoldenDramImageDigest)
+/** The golden runs' fixed op mix: writes, reads, dummies and
+ *  background evictions over every block id. */
+void
+driveGoldenMix(oram::RecursivePathOram &o, const oram::OramConfig &c)
 {
-    const oram::OramConfig c = recursiveConfig(2, 256);
-    oram::RecursivePathOram o(c, 20260417, crypto::CryptoBackend::Auto,
-                              oram::Datapath::Fused);
-    ASSERT_EQ(o.treeCount(), 3u);
-
     std::vector<std::uint8_t> out(c.blockBytes);
     std::vector<std::uint8_t> data(c.blockBytes);
     Rng rng(4099);
@@ -395,7 +394,41 @@ TEST(FusedDatapath, GoldenDramImageDigest)
             break;
         }
     }
+}
+
+TEST(FusedDatapath, GoldenDramImageDigest)
+{
+    const oram::OramConfig c = recursiveConfig(2, 256);
+    oram::RecursivePathOram o(c, 20260417, crypto::CryptoBackend::Auto,
+                              oram::Datapath::Fused);
+    ASSERT_EQ(o.treeCount(), 3u);
+    driveGoldenMix(o, c);
     EXPECT_EQ(goldenImageDigest(o), "12e31b3a3463c23a587fa5eb41d78642e8ea3853d7be656b95cf46c15ae5beb0");
+}
+
+// The same pin over the verified read path: integrity on, and a seeded
+// injector flipping ciphertext bytes in transit so verifiedReadPath
+// detects, discards and re-reads. The digest adds the recovery
+// counters, so a change to the retry loop, the injector's draw order
+// or the verified unpack shows up here.
+TEST(FusedDatapath, GoldenVerifiedReadDigest)
+{
+    const oram::OramConfig c = recursiveConfig(2, 256);
+    oram::RecursivePathOram o(c, 20260417, crypto::CryptoBackend::Auto,
+                              oram::Datapath::Fused);
+    o.enableIntegrity(0x1d7e9, /*retry_budget=*/6);
+    dram::FaultInjector inj(dram::FaultSpec::parse("flip@0.004#11"), 0);
+    o.attachFaultInjector(&inj);
+    driveGoldenMix(o, c);
+    EXPECT_GT(o.retriesIssued(), 0u);
+    EXPECT_GT(o.faultsRecovered(), 0u);
+    EXPECT_LE(o.faultsRecovered(), o.faultsDetected());
+
+    ByteWriter w;
+    w.str(goldenImageDigest(o));
+    w.u64(o.retriesIssued());
+    w.u64(o.faultsDetected());
+    EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(w.data())), "c3715c099437c07ef4507375609bac8836f73283ef7c3d967bb8f4ae2b9b814b");
 }
 
 // ---------------------------------------------------------------------

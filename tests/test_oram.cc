@@ -177,11 +177,7 @@ TEST(Bucket, SealIsProbabilistic)
 TEST(Stash, PutFindTake)
 {
     Stash st(10);
-    BlockSlot s;
-    s.id = 5;
-    s.leaf = 1;
-    s.payload = pattern(5);
-    st.put(s);
+    st.put(5, 1, pattern(5));
     EXPECT_TRUE(st.contains(5));
     EXPECT_NE(st.find(5), nullptr);
     const BlockSlot t = st.take(5);
@@ -192,27 +188,47 @@ TEST(Stash, PutFindTake)
 TEST(Stash, PutReplacesSameId)
 {
     Stash st(10);
-    BlockSlot s;
-    s.id = 5;
-    s.leaf = 1;
-    s.payload = pattern(5);
-    st.put(s);
-    s.payload = pattern(6);
-    st.put(s);
+    st.put(5, 1, pattern(5));
+    st.put(5, 1, pattern(6));
     EXPECT_EQ(st.size(), 1u);
     EXPECT_EQ(st.find(5)->payload, pattern(6));
+}
+
+TEST(Stash, SpanPutInsertsAndReplacesInPlace)
+{
+    Stash st(10, 64);
+    std::vector<std::uint8_t> src = pattern(1);
+    st.put(1, 10, src);
+    st.put(2, 20, pattern(2));
+    st.put(3, 30, pattern(3));
+    ASSERT_EQ(st.size(), 3u);
+    // The payload is copied, not aliased: changing the source after
+    // the put leaves the resident copy alone.
+    src[0] ^= 0xff;
+    EXPECT_EQ(st.find(1)->payload, pattern(1));
+
+    const std::vector<std::uint32_t> before(st.activeIndices().begin(),
+                                            st.activeIndices().end());
+    st.put(2, 99, pattern(7));
+    EXPECT_EQ(st.size(), 3u);
+    EXPECT_EQ(st.highWater(), 3u);
+    // Same pooled slot, same visit position: a replacement does not
+    // reorder the eviction sweep.
+    const std::vector<std::uint32_t> after(st.activeIndices().begin(),
+                                           st.activeIndices().end());
+    EXPECT_EQ(after, before);
+    const BlockSlot &s = st.poolSlot(before[1]);
+    EXPECT_EQ(s.id, 2u);
+    EXPECT_EQ(s.leaf, 99u);
+    EXPECT_EQ(s.payload, pattern(7));
+    EXPECT_EQ(st.find(3)->payload, pattern(3));
 }
 
 TEST(Stash, HighWaterTracks)
 {
     Stash st(10);
-    for (BlockId i = 0; i < 5; ++i) {
-        BlockSlot s;
-        s.id = i;
-        s.leaf = 0;
-        s.payload = pattern(i);
-        st.put(s);
-    }
+    for (BlockId i = 0; i < 5; ++i)
+        st.put(i, 0, pattern(i));
     st.take(0);
     st.take(1);
     EXPECT_EQ(st.highWater(), 5u);
