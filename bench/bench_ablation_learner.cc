@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablations for the design choices DESIGN.md §5 calls out:
+ * Ablations of the rate learner's design choices:
  *   1. Algorithm-1 shift-register divider vs an exact divider
  *      (§7.2-7.3: the shifter undersets by <= 2x, which compensates
  *      for burstiness).

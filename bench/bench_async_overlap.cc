@@ -181,14 +181,13 @@ asyncShardStreamsPeriodic(Cycles rate, std::string &detail)
             detail = "shard stream too short";
             return false;
         }
-        for (std::size_t j = 1; j < starts.size(); ++j) {
-            if (starts[j] - starts[j - 1] != period) {
-                std::ostringstream os;
-                os << "shard " << i << " gap " << j << ": "
-                   << (starts[j] - starts[j - 1]) << " != " << period;
-                detail = os.str();
-                return false;
-            }
+        std::size_t j = 0;
+        if (!bench::exactlyPeriodic(starts, period, &j)) {
+            std::ostringstream os;
+            os << "shard " << i << " gap " << j << ": "
+               << (starts[j] - starts[j - 1]) << " != " << period;
+            detail = os.str();
+            return false;
         }
     }
     return true;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared setup for the reproduction benches: the standard scaled run
- * (DESIGN.md §7), the evaluated configurations of §9.1.6, and output
- * helpers. Every bench prints the paper's rows/series; EXPERIMENTS.md
- * records paper-vs-measured for each.
+ * (instruction counts and epoch0 scaled down from the paper's, below),
+ * the evaluated configurations of §9.1.6, and output helpers. Every
+ * bench prints the paper's rows/series next to the measured ones.
  */
 
 #ifndef TCORAM_BENCH_BENCH_COMMON_HH
@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ constexpr InstCount kLongInsts = 5'000'000;
 /** IPC/miss sampling window (paper: 1 G instructions, scaled). */
 constexpr InstCount kWindow = 100'000;
 
-/** Scaled epoch0 (paper: 2^30; see DESIGN.md §7). */
+/** Scaled epoch0 (scaled from the paper's 2^30). */
 constexpr Cycles kEpoch0 = Cycles{1} << 18;
 
 /** Apply the standard bench scaling to a preset. */
@@ -73,6 +74,27 @@ inline void
 banner(const std::string &title)
 {
     std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/**
+ * True if every consecutive pair of @p starts is exactly @p period
+ * cycles apart — the observable-stream invariant every shard keeps.
+ * On failure, @p bad_gap (when given) receives the index k of the
+ * first offending gap, starts[k] - starts[k - 1]. Callers gate their
+ * own minimum stream length.
+ */
+inline bool
+exactlyPeriodic(std::span<const Cycles> starts, Cycles period,
+                std::size_t *bad_gap = nullptr)
+{
+    for (std::size_t k = 1; k < starts.size(); ++k) {
+        if (starts[k] - starts[k - 1] != period) {
+            if (bad_gap != nullptr)
+                *bad_gap = k;
+            return false;
+        }
+    }
+    return true;
 }
 
 /** Value following @p flag on the command line, or @p fallback. */

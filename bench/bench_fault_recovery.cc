@@ -105,14 +105,14 @@ struct Golden
 
 /** Each shard's stream must tick exactly at its own slot period. */
 bool
-checkPeriodic(sim::RecoveryRun &run)
+shardsPeriodic(sim::RecoveryRun &run)
 {
     for (std::uint32_t i = 0; i < run.shardCount(); ++i) {
-        const Cycles period = run.shardPeriod(i);
-        const auto stream = run.shardStream(i);
-        for (std::size_t j = 1; j < stream.size(); ++j)
-            if (stream[j].start - stream[j - 1].start != period)
-                return false;
+        std::vector<Cycles> starts;
+        for (const sim::RecoveryRun::Event &e : run.shardStream(i))
+            starts.push_back(e.start);
+        if (!bench::exactlyPeriodic(starts, run.shardPeriod(i)))
+            return false;
     }
     return true;
 }
@@ -163,7 +163,7 @@ runPoint(const std::string &kinds, double rate, std::uint32_t shards,
     p.retries = run.retriesIssued();
     p.recoverySlots = run.recoverySlots();
     p.payloadMismatches = bad;
-    p.periodic = checkPeriodic(run);
+    p.periodic = shardsPeriodic(run);
     p.streamMatchesFaultFree = true;
     for (std::uint32_t i = 0; i < shards; ++i)
         if (!startsMatch(run.shardStream(i), golden.streams[i]))

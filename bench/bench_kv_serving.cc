@@ -85,15 +85,11 @@ servingConfig(std::uint32_t sessions, std::uint64_t ops_per_rank)
 /** Consecutive starts exactly one slot period apart, every shard
  *  (each shard's calibration fixes its own period). */
 bool
-exactlyPeriodic(const sim::KvServingRun &run)
+shardsPeriodic(const sim::KvServingRun &run)
 {
-    for (std::uint32_t i = 0; i < run.config().shards; ++i) {
-        const Cycles period = run.shardPeriod(i);
-        const std::vector<Cycles> starts = run.shardStarts(i);
-        for (std::size_t k = 1; k < starts.size(); ++k)
-            if (starts[k] - starts[k - 1] != period)
-                return false;
-    }
+    for (std::uint32_t i = 0; i < run.config().shards; ++i)
+        if (!bench::exactlyPeriodic(run.shardStarts(i), run.shardPeriod(i)))
+            return false;
     return true;
 }
 
@@ -134,7 +130,7 @@ summarize(const sim::KvServingRun &run, double wall)
     p.sessions = run.sessionCount();
     p.ops = run.opsCompleted();
     p.retired = run.allTokensRetired();
-    p.periodic = exactlyPeriodic(run);
+    p.periodic = shardsPeriodic(run);
     p.mismatches = run.payloadMismatches();
     p.failedPuts = run.stats().failedPuts;
     p.wallSeconds = wall;

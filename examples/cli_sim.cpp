@@ -2,7 +2,7 @@
  * @file
  * Command-line simulation driver: run any scheme on any workload
  * without writing code. Covers the whole public configuration
- * surface, optionally records the workload trace or emits CSV.
+ * surface, optionally emits CSV.
  *
  * Usage examples:
  *   example_cli_sim --scheme dynamic --rates 4 --growth 4 --bench mcf
@@ -31,7 +31,6 @@
 #include "sim/stat_dump.hh"
 #include "timing/dispatch_policy.hh"
 #include "workload/spec_suite.hh"
-#include "workload/trace_io.hh"
 #include "workload/workload_source.hh"
 
 using namespace tcoram;
@@ -68,7 +67,6 @@ usage()
         "  --retry-budget <n>     recovery retry budget       [4]\n"
         "  --seed <n>             simulation seed             [1]\n"
         "  --csv <path>           append result as CSV\n"
-        "  --record-trace <path>  save the workload trace and exit\n"
         "  --list                 print available workloads\n"
         "  --list-backends        print registered backend kinds\n"
         "checkpoint mode (runs the scheduler harness, not the CPU sim):\n"
@@ -364,16 +362,6 @@ main(int argc, char **argv)
         std::strtoull(arg(argc, argv, "--insts", "600000"), nullptr, 10));
     const auto warmup = static_cast<InstCount>(std::strtoull(
         arg(argc, argv, "--warmup", "2400000"), nullptr, 10));
-
-    if (const char *trace_path =
-            arg(argc, argv, "--record-trace", nullptr)) {
-        workload::SyntheticTrace src(prof, 1);
-        workload::recordTrace(src, insts, trace_path);
-        std::printf("recorded %llu ops of %s to %s\n",
-                    (unsigned long long)insts, prof.name.c_str(),
-                    trace_path);
-        return 0;
-    }
 
     const std::string scheme = arg(argc, argv, "--scheme", "dynamic");
     const auto rates = static_cast<std::size_t>(

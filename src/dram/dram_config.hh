@@ -3,8 +3,8 @@
  * DDR3-like DRAM timing parameters. Defaults follow the paper's
  * Table 1 memory system: 667 MHz (DDR), 2 channels, 16 bytes of pin
  * bandwidth per DRAM cycle. The timing numbers are representative
- * DDR3-1333 values expressed in DRAM clock cycles; the model is our
- * DRAMSim2 substitute (see DESIGN.md §4).
+ * DDR3-1333 values expressed in DRAM clock cycles; the model stands in
+ * for the paper's DRAMSim2.
  */
 
 #ifndef TCORAM_DRAM_DRAM_CONFIG_HH

@@ -742,13 +742,11 @@ struct RecursivePathOram::Stage : public PositionMapIf
 {
     Stage(const OramConfig &cfg, PositionMapIf &inner_map,
           std::uint64_t key_seed, std::uint64_t outer_entries,
-          crypto::CryptoBackend backend, std::uint64_t cipher_seed,
-          bool fused_)
+          crypto::CryptoBackend backend, std::uint64_t cipher_seed)
         : oram(cfg, inner_map, key_seed, 0, backend, cipher_seed),
           entriesPerBlock(cfg.blockBytes / 8),
           entries(outer_entries),
-          blockBuf(cfg.blockBytes, 0),
-          fused(fused_)
+          blockBuf(cfg.blockBytes, 0)
     {
     }
 
@@ -761,26 +759,11 @@ struct RecursivePathOram::Stage : public PositionMapIf
         return load64le(blockBuf.data() + off);
     }
 
-    void
-    set(BlockId id, Leaf leaf) override
-    {
-        tcoram_assert(id < entries, "recursive set out of range");
-        oram.accessInto(id / entriesPerBlock, Op::Read, {}, blockBuf);
-        const std::uint64_t off = (id % entriesPerBlock) * 8;
-        store64le(blockBuf.data() + off, leaf);
-        oram.accessInto(id / entriesPerBlock, Op::Write, blockBuf, blockBuf);
-    }
-
     Leaf
     update(BlockId id, Leaf leaf) override
     {
-        // Legacy datapath: fall back to the composed get+set, i.e.
-        // three path accesses per stage (get's one, set's two).
-        if (!fused)
-            return PositionMapIf::update(id, leaf);
-
-        // Fused datapath: ONE path access patches the label in the
-        // stash-resident copy between the read and write phases.
+        // ONE path access patches the label in the stash-resident copy
+        // between the read and write phases.
         tcoram_assert(id < entries, "recursive update out of range");
         const std::span<std::uint8_t> payload =
             oram.beginAccess(id / entriesPerBlock);
@@ -797,23 +780,21 @@ struct RecursivePathOram::Stage : public PositionMapIf
     std::uint64_t entriesPerBlock;
     std::uint64_t entries;
     std::vector<std::uint8_t> blockBuf;
-    bool fused;
 };
 
 RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
                                      std::uint64_t key_seed,
                                      crypto::CryptoBackend backend,
                                      Datapath dp)
-    : cfg_(cfg), datapath_(dp)
+    : cfg_(cfg)
 {
     const auto chain = cfg_.recursionChain();
-    const bool fused = datapath_ != Datapath::Legacy;
 
     // Every tree shares ONE bucket-encryption key (the paper's single
     // AES key κ) so the cross-stage crypto batch can retire all
     // write-backs under it; per-tree PRF seeds stay distinct. The
-    // shared key is used in every mode — Legacy differs only in access
-    // structure, so fused-vs-legacy DRAM images stay comparable.
+    // shared key is used in both modes, so their DRAM images compare
+    // bit for bit.
     const std::uint64_t cipher_seed = key_seed;
 
     // Build from the innermost (smallest) ORAM outward. The innermost
@@ -831,7 +812,7 @@ RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
                 (i == 0) ? cfg_.numBlocks : chain[i - 1].numBlocks;
             auto stage = std::make_unique<Stage>(
                 chain[i], *next_map, key_seed + 17 * (i + 1), outer_entries,
-                backend, cipher_seed, fused);
+                backend, cipher_seed);
             next_map = stage.get();
             recursion_.push_back(std::move(stage));
         }
@@ -840,7 +821,7 @@ RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
     data_ = std::make_unique<PathOram>(cfg_, *next_map, key_seed, 0,
                                        backend, cipher_seed);
 
-    if (datapath_ == Datapath::Fused) {
+    if (dp == Datapath::Fused) {
         batch_ = std::make_unique<PathCryptoBatch>(
             crypto::keyFromSeed(cipher_seed), backend);
         std::size_t levels = data_->config().treeDepth() + 1;
@@ -893,13 +874,10 @@ RecursivePathOram::finishLogicalAccess([[maybe_unused]] bool remapping)
         batch_->flush();
 
 #ifndef NDEBUG
-    // Stream invariant (fused modes only; Legacy's get+set cascade
-    // legitimately draws more): relative to snapshotDraws(), each tree
+    // Stream invariant: relative to snapshotDraws(), each tree
     // consumed exactly `levels` write-back nonces, one remap leaf
     // (none for an eviction pass) and at most one first-touch
     // substitute (none for dummies/evictions, where remapping=false).
-    if (datapath_ == Datapath::Legacy)
-        return;
     for (std::size_t i = 0; i < treeCount(); ++i) {
         const PathOram &t = tree(i);
         const PathOram::DrawStats d = t.drawStats();

@@ -49,9 +49,9 @@
  *
  * The access itself is phase-split: beginAccess() performs the fused
  * position-map update (PositionMapIf::update — ONE recursive access
- * per stage instead of get's plus set's), reads and decrypts the old
- * path, and returns the block's stash payload for in-place mutation;
- * finishAccess() runs the eviction sweep and the write-back encrypt.
+ * per stage), reads and decrypts the old path, and returns the block's
+ * stash payload for in-place mutation; finishAccess() runs the
+ * eviction sweep and the write-back encrypt.
  * accessInto() composes the two phases; RecursivePathOram::Stage
  * mutates the 8-byte label between them.
  */
@@ -94,8 +94,8 @@ enum class Op
 /**
  * Recursive datapath structure (RecursivePathOram). The observable
  * stats of a run are datapath-independent (the controller charges the
- * modeled geometry either way); the modes exist so the fused paths can
- * be differentially tested and benchmarked against their references.
+ * modeled geometry either way); FusedImmediate exists so the deferred
+ * write-back can be differentially tested against its reference.
  */
 enum class Datapath : std::uint8_t
 {
@@ -106,10 +106,6 @@ enum class Datapath : std::uint8_t
      *  the identical PRF streams as Fused, so DRAM images, stashes and
      *  position maps match bit for bit — the differential reference. */
     FusedImmediate,
-    /** Pre-fusion recursion: Stage::get then Stage::set per stage
-     *  (~3 accesses per stage per logical access). Retained as the
-     *  in-binary baseline bench_functional_rate measures against. */
-    Legacy,
 };
 
 /**
@@ -253,7 +249,7 @@ class PathOram
     std::uint64_t cryptoCalls() const { return cryptoCalls_; }
 
     /**
-     * Cumulative PRF consumption, for the fused-vs-legacy stream
+     * Cumulative PRF consumption, for the per-access stream
      * invariant (tests and RecursivePathOram's debug asserts): any
      * single logical access consumes exactly `levels` write-back
      * nonces, one remap leaf, and at most one first-touch substitute —
@@ -457,16 +453,13 @@ class RecursivePathOram
      * @param dp datapath structure: Fused (default) shares one bucket-
      *        encryption key across trees and retires every write-back
      *        with one batched call per access; FusedImmediate is the
-     *        bit-identical per-tree-encrypt reference; Legacy is the
-     *        pre-fusion get/set recursion kept as a bench baseline.
+     *        bit-identical per-tree-encrypt reference.
      */
     RecursivePathOram(
         const OramConfig &cfg, std::uint64_t key_seed,
         crypto::CryptoBackend backend = crypto::CryptoBackend::Auto,
         Datapath dp = Datapath::Fused);
     ~RecursivePathOram();
-
-    Datapath datapath() const { return datapath_; }
 
     /** Allocation-free access; contract identical to PathOram::accessInto. */
     void accessInto(BlockId id, Op op, std::span<const std::uint8_t> data,
@@ -536,7 +529,6 @@ class RecursivePathOram
     void snapshotDraws();
 
     OramConfig cfg_;
-    Datapath datapath_ = Datapath::Fused;
     std::vector<std::unique_ptr<Stage>> recursion_; // innermost first
     std::unique_ptr<PositionMapIf> flatMap_;        // backs last stage
     std::unique_ptr<PathOram> data_;

@@ -4,7 +4,8 @@
  * designs (§9.1.6): base_dram, base_oram, static_<rate>, and
  * dynamic_R<r>_E<g>. Simulated runs use a scaled epoch0 (2^20 cycles
  * vs the paper's 2^30) so the harness finishes in minutes; leakage is
- * always additionally reported at paper constants (DESIGN.md §7).
+ * always additionally reported at paper constants (Tmax 2^62, epoch0
+ * 2^30; SimResult::paperLeakageBits).
  */
 
 #ifndef TCORAM_SIM_SYSTEM_CONFIG_HH
@@ -20,10 +21,6 @@
 #include "oram/oram_controller.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/rate_learner.hh"
-
-namespace tcoram::oram {
-enum class Datapath : std::uint8_t; // oram/path_oram.hh
-} // namespace tcoram::oram
 
 namespace tcoram::workload {
 struct WorkloadParams; // workload/workload_source.hh
@@ -148,20 +145,6 @@ struct SystemConfig
 
     /** Resolved device kind (fatal on an unknown oramDevice string). */
     std::string oramDeviceKind() const;
-
-    /**
-     * Recursion datapath structure of the functional device
-     * (oram/path_oram.hh). Empty selects the fused engine (one path
-     * access per recursion stage, one batched cross-stage write-back
-     * encrypt); "unfused" is the draw-identical per-tree-encrypt
-     * reference (FusedImmediate); "legacy" the pre-fusion get/set
-     * recursion. Observable stats are datapath-independent — the
-     * non-default modes exist for differential tests and benchmarks.
-     */
-    std::string functionalDatapath;
-
-    /** Resolved datapath (fatal on an unknown functionalDatapath). */
-    oram::Datapath functionalDatapathKind() const;
 
     /**
      * Path read/write-back scheduling of the ORAM controller against

@@ -20,7 +20,7 @@
  * reports. With the fused datapath (oram/path_oram.hh) every real AND
  * dummy access costs H+2 batched calls for H recursion stages — one
  * whole-path decrypt per tree plus ONE cross-stage write-back encrypt
- * — versus ~3·(H+1) for the legacy get/set recursion. Unlike the
+ * — versus 2·(H+1) for the per-tree immediate reference. Unlike the
  * learner's counters these are run-cumulative — reset() deliberately
  * keeps them, and the sim layer reads them off the enforcer at the end
  * of a run (SimResult cryptoBytes/cryptoCalls, dumped as

@@ -6,7 +6,7 @@
  * whose *ORAM pressure class* (LLC-miss arrival process against a
  * 1 MB LLC) matches the paper's characterization: mcf/libquantum
  * memory-bound, h264ref compute-bound with a late memory-bound phase,
- * perlbench/astar strongly input-dependent, and so on (DESIGN.md §4).
+ * perlbench/astar strongly input-dependent, and so on.
  *
  * A profile is a phase schedule; each phase draws accesses from a mix
  * of streaming, strided, random and pointer-chase reference patterns

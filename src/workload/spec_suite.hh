@@ -4,8 +4,8 @@
  * benchmarks the paper reports (Figure 6 x-axis), plus the alternate
  * inputs used in Figure 2 (perlbench diffmail/splitmail, astar
  * rivers/biglakes). Parameters are chosen to reproduce each
- * benchmark's ORAM pressure class against a 1 MB LLC — see the
- * substitution table in DESIGN.md §4.
+ * benchmark's ORAM pressure class against a 1 MB LLC; spec_suite.cc
+ * comments each profile's target LLC-miss interval.
  */
 
 #ifndef TCORAM_WORKLOAD_SPEC_SUITE_HH

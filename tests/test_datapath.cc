@@ -3,8 +3,8 @@
  * Fused-datapath tests: bit-identity of the deferred cross-stage
  * crypto batch against the per-tree immediate reference (saveState
  * images and served payloads), the H+2 crypto-call budget across
- * recursion depths, functional equivalence of the Legacy get/set
- * cascade, the phase-split label helpers (load64le/store64le), the
+ * recursion depths together with the H+1 path touches per access,
+ * the phase-split label helpers (load64le/store64le), the
  * fused FlatPositionMap::update, out-of-band self-healing of pending
  * deferred write-backs, a golden digest pinning the fused DRAM image
  * against a recorded value, and the allocation-free steady state of
@@ -27,10 +27,6 @@
 #include "dram/faulty_memory.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
-#include "sim/experiment.hh"
-#include "sim/report.hh"
-#include "sim/secure_processor.hh"
-#include "workload/spec_suite.hh"
 
 // ---------------------------------------------------------------------
 // Counting allocator hook (same pattern as test_pipeline.cc): every
@@ -198,37 +194,36 @@ TEST(FusedDatapath, DeferredMatchesImmediateBitForBit)
     }
 }
 
-TEST(FusedDatapath, LegacyCascadeServesIdenticalPayloads)
-{
-    // Legacy re-creates the pre-fusion get/set recursion: three path
-    // accesses per stage instead of one. Per-tree PRF streams differ
-    // (more draws), so DRAM images legitimately diverge — but the
-    // logical content must not.
-    const oram::OramConfig c = recursiveConfig(2);
-    oram::RecursivePathOram fused(c, 4242, crypto::CryptoBackend::Auto,
-                                  oram::Datapath::Fused);
-    oram::RecursivePathOram legacy(c, 4242, crypto::CryptoBackend::Auto,
-                                   oram::Datapath::Legacy);
-    EXPECT_EQ(driveMixed(fused, c, 48, 800), driveMixed(legacy, c, 48, 800));
-}
-
 // ---------------------------------------------------------------------
 // The H+2 crypto budget, pinned across recursion depths: every
 // logical access (real or dummy, first-touch or steady-state) costs
 // exactly treeCount() + 1 batched engine calls — H+1 whole-path read
-// decrypts plus ONE cross-stage write-back flush.
+// decrypts plus ONE cross-stage write-back flush — and touches each
+// of the H+1 trees' paths exactly once.
 // ---------------------------------------------------------------------
+
+/** Path accesses summed over every tree of @p o. */
+std::uint64_t
+pathTouches(const oram::RecursivePathOram &o)
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < o.treeCount(); ++i)
+        total += o.tree(i).accessCount();
+    return total;
+}
 
 TEST(FusedDatapath, CryptoCallsPerAccessIsTreesPlusOne)
 {
     for (unsigned levels : {0u, 1u, 2u, 3u}) {
         const oram::OramConfig c = recursiveConfig(levels, 256);
         oram::RecursivePathOram o(c, 31 + levels);
+        ASSERT_EQ(o.treeCount(), levels + 1u);
         const std::uint64_t per_access = o.treeCount() + 1;
 
         std::vector<std::uint8_t> out(c.blockBytes);
         std::vector<std::uint8_t> data(c.blockBytes, 0x5a);
         std::uint64_t before = o.cryptoCalls();
+        std::uint64_t touches = pathTouches(o);
         for (int i = 0; i < 64; ++i)
             o.accessInto(static_cast<BlockId>(i % 96),
                          i % 2 == 0 ? oram::Op::Write : oram::Op::Read,
@@ -237,11 +232,16 @@ TEST(FusedDatapath, CryptoCallsPerAccessIsTreesPlusOne)
                          out);
         EXPECT_EQ(o.cryptoCalls() - before, 64u * per_access)
             << "levels=" << levels;
+        EXPECT_EQ(pathTouches(o) - touches, 64u * (levels + 1))
+            << "levels=" << levels;
 
         before = o.cryptoCalls();
+        touches = pathTouches(o);
         for (int i = 0; i < 32; ++i)
             o.dummyAccess();
         EXPECT_EQ(o.cryptoCalls() - before, 32u * per_access)
+            << "levels=" << levels << " (dummy)";
+        EXPECT_EQ(pathTouches(o) - touches, 32u * (levels + 1))
             << "levels=" << levels << " (dummy)";
     }
 }
@@ -268,35 +268,6 @@ TEST(FusedDatapath, InvariantHoldsAfterMixedLoad)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end plumbing: config string -> datapath kind -> identical
-// simulation results (the observable timing/stat plane is datapath-
-// independent by construction).
-// ---------------------------------------------------------------------
-
-TEST(FusedDatapath, ConfigSelectsDatapathAndResultsMatch)
-{
-    auto base = sim::SystemConfig::baseOram();
-    base.oram.numBlocks = 1 << 12;
-    base.epoch0 = 1 << 16;
-    base.ipcWindow = 50'000;
-
-    auto fused = base;
-    fused.functionalDatapath = "fused";
-    auto unfused = base;
-    unfused.functionalDatapath = "unfused";
-    EXPECT_EQ(fused.functionalDatapathKind(), oram::Datapath::Fused);
-    EXPECT_EQ(unfused.functionalDatapathKind(),
-              oram::Datapath::FusedImmediate);
-    EXPECT_EQ(base.functionalDatapathKind(), oram::Datapath::Fused)
-        << "empty string = default";
-
-    const auto prof = workload::specProfile("mcf");
-    const sim::SimResult a = sim::runOne(fused, prof, 150'000);
-    const sim::SimResult b = sim::runOne(unfused, prof, 150'000);
-    EXPECT_EQ(sim::csvRow(a), sim::csvRow(b));
-}
-
-// ---------------------------------------------------------------------
 // Satellite units: the fused position-map update and the label
 // (de)serialization helpers.
 // ---------------------------------------------------------------------
@@ -307,7 +278,7 @@ TEST(FlatPositionMap, UpdateSwapsInOneTouch)
     m.set(3, 41);
     EXPECT_EQ(m.update(3, 99), 41u);
     EXPECT_EQ(m.get(3), 99u);
-    // Must agree with the interface-default get+set decomposition.
+    // Must agree with the get+set decomposition.
     oram::FlatPositionMap ref(8);
     ref.set(3, 41);
     const Leaf old = ref.get(3);

@@ -17,7 +17,6 @@
 #include "sim/secure_processor.hh"
 #include "timing/threshold_learner.hh"
 #include "workload/spec_suite.hh"
-#include "workload/trace_io.hh"
 
 namespace tcoram {
 namespace {
@@ -294,60 +293,6 @@ TEST(ProtectedDram, FarCheaperThanOram)
     const auto r_pd = sim::runOne(pd, prof, 300'000, 300'000);
     const auto r_dyn = sim::runOne(dyn, prof, 300'000, 300'000);
     EXPECT_LT(2 * r_pd.cycles, r_dyn.cycles);
-}
-
-// ---------------------------------------------------------------------
-// Trace I/O.
-// ---------------------------------------------------------------------
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    const std::string path = "/tmp/tcoram_trace_test.bin";
-    workload::SyntheticTrace src(workload::specProfile("gcc"), 5);
-    workload::recordTrace(src, 1000, path);
-
-    workload::SyntheticTrace again(workload::specProfile("gcc"), 5);
-    workload::FileTrace file(path);
-    ASSERT_EQ(file.size(), 1000u);
-    for (int i = 0; i < 1000; ++i) {
-        const auto a = again.next();
-        const auto b = file.next();
-        ASSERT_EQ(a.addr, b.addr) << i;
-        ASSERT_EQ(a.gapInsts, b.gapInsts) << i;
-        ASSERT_EQ(a.extraGapCycles, b.extraGapCycles) << i;
-        ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, LoopsWhenExhausted)
-{
-    const std::string path = "/tmp/tcoram_trace_loop.bin";
-    std::vector<workload::TraceOp> ops(3);
-    ops[0].addr = 0x100;
-    ops[1].addr = 0x200;
-    ops[2].addr = 0x300;
-    workload::writeTrace(ops, path);
-
-    workload::FileTrace file(path);
-    EXPECT_EQ(file.next().addr, 0x100u);
-    EXPECT_EQ(file.next().addr, 0x200u);
-    EXPECT_EQ(file.next().addr, 0x300u);
-    EXPECT_EQ(file.next().addr, 0x100u); // wrapped
-    EXPECT_EQ(file.loops(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, RejectsGarbage)
-{
-    const std::string path = "/tmp/tcoram_trace_bad.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a trace", f);
-    std::fclose(f);
-    EXPECT_EXIT(workload::readTrace(path),
-                ::testing::ExitedWithCode(1), "not a tcoram trace");
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
