@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -248,11 +247,6 @@ main(int argc, char **argv)
         os << "  \"async_streams_periodic\": "
            << (periodic ? "true" : "false") << ",\n";
         os << "  \"cells\": [";
-        char buf[64];
-        auto num = [&](double v) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            return std::string(buf);
-        };
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const Cell &c = cells[i];
             os << (i ? ",\n    {" : "\n    {");
@@ -262,17 +256,13 @@ main(int argc, char **argv)
             os << ", \"sync_olat\": " << c.syncOlat;
             os << ", \"pipelined_olat\": " << c.pipeOlat;
             os << ", \"pipelined_occupancy\": " << c.pipeOccupancy;
-            os << ", \"improvement\": " << num(c.improvement);
+            os << ", \"improvement\": " << bench::jsonNum(c.improvement);
             os << ", \"sync_matches_pre_split\": "
                << (c.syncMatchesPrePr ? "true" : "false");
             os << "}";
         }
         os << "\n  ]\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI gate ---

@@ -30,7 +30,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -240,7 +240,7 @@ main(int argc, char **argv)
 
     const bool all_pass = drain_ok && wide_ok && off_ok;
 
-    std::ofstream json(json_path);
+    std::ostringstream json;
     json << "{\n  \"scale\": \"" << (quick ? "bench" : "paper")
          << "\",\n  \"drain\": [\n";
     for (std::size_t i = 0; i < drains.size(); ++i)
@@ -254,8 +254,7 @@ main(int argc, char **argv)
          << (wide_ok ? "true" : "false")
          << ",\n  \"off_is_default\": " << (off_ok ? "true" : "false")
          << ",\n  \"pass\": " << (all_pass ? "true" : "false") << "\n}\n";
-    json.close();
-    std::printf("json        %s\n", json_path.c_str());
+    bench::writeArtifact(json_path, json.str());
 
     if (check && !all_pass) {
         std::fprintf(stderr, "[eviction] --check FAILED\n");

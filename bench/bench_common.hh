@@ -97,6 +97,30 @@ exactlyPeriodic(std::span<const Cycles> starts, Cycles period,
     return true;
 }
 
+/** A floating-point JSON artifact value, formatted "%.6g". */
+inline std::string
+jsonNum(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
+
+/** Write a bench's JSON artifact @p text to @p path (fatal on an I/O
+ *  error) and name the file on stdout. */
+inline void
+writeArtifact(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        tcoram_fatal("cannot write ", path);
+    const bool whole = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+    if (std::fclose(f) != 0 || !whole)
+        tcoram_fatal("short write to ", path);
+    std::printf("wrote %s\n", path.c_str());
+}
+
 /** Value following @p flag on the command line, or @p fallback. */
 inline const char *
 argValue(int argc, char **argv, const char *flag, const char *fallback)

@@ -33,7 +33,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -363,7 +362,7 @@ main(int argc, char **argv)
                 mem_ok ? "pass-through + exactly-once" : "FAILED");
     all_pass = all_pass && ckpt1 && ckpt4 && mem_ok;
 
-    std::ofstream json(json_path);
+    std::ostringstream json;
     json << "{\n  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
@@ -382,8 +381,7 @@ main(int argc, char **argv)
          << (ckpt1 && ckpt4 ? "true" : "false")
          << ",\n  \"faulty_memory_ok\": " << (mem_ok ? "true" : "false")
          << ",\n  \"pass\": " << (all_pass ? "true" : "false") << "\n}\n";
-    json.close();
-    std::printf("json        %s\n", json_path.c_str());
+    bench::writeArtifact(json_path, json.str());
 
     if (check && !all_pass) {
         std::fprintf(stderr, "[fault] --check FAILED\n");

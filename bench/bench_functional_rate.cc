@@ -25,8 +25,7 @@
  *   2. fused and FusedImmediate serialized states (every tree's DRAM
  *      image, nonces, PRF counters, stash, maps) byte-identical after
  *      the same mixed workload, and every served payload equal;
- *   3. fused crypto-call delta per access == treeCount() + 1 (H+2);
- *   4. ColumnBatch serialization independent of chunk assignment.
+ *   3. fused crypto-call delta per access == treeCount() + 1 (H+2).
  * --depth-sweep additionally measures and gates H in {0,1,2,3} (the
  * ASan CI job drives this with --quick).
  */
@@ -34,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,7 +41,6 @@
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "oram/path_oram.hh"
-#include "sim/column_batch.hh"
 
 using namespace tcoram;
 
@@ -127,27 +124,6 @@ runMode(const oram::OramConfig &c, oram::Datapath dp, std::size_t accesses)
     return r;
 }
 
-/** Gate 4: chunk-assignment-independent ColumnBatch bytes. */
-bool
-columnBatchIdentityHolds()
-{
-    using enum sim::ColumnType;
-    const sim::ColumnSchema schema{{{"k", U64}, {"v", F64}}};
-    auto append = [](sim::ColumnChunk &c, std::uint64_t key) {
-        c.beginRow(key);
-        c.u64(key);
-        c.f64(static_cast<double>(key) * 0.125);
-        c.endRow();
-    };
-    sim::ColumnBatch scattered(schema, 4);
-    for (std::uint64_t key = 64; key-- > 0;)
-        append(scattered.chunk(key % 4), key);
-    sim::ColumnBatch single(schema, 1);
-    for (std::uint64_t key = 0; key < 64; ++key)
-        append(single.chunk(0), key);
-    return scattered.csv() == single.csv();
-}
-
 } // namespace
 
 int
@@ -220,27 +196,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (check)
-        gate(columnBatchIdentityHolds(),
-             "ColumnBatch bytes depend on chunk assignment");
-
     // --- JSON artifact ---
     {
         std::ostringstream os;
         os << "{\n";
         os << "  \"bench\": \"functional_rate\",\n";
         os << "  \"quick\": " << (quick ? "true" : "false");
-        char buf[64];
-        for (const auto &[key, v] : results) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            os << ",\n  \"" << key << "\": " << buf;
-        }
+        for (const auto &[key, v] : results)
+            os << ",\n  \"" << key << "\": " << bench::jsonNum(v);
         os << "\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     if (check) {

@@ -263,17 +263,10 @@ main(int argc, char **argv)
         os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
         os << "  \"aesni_available\": "
            << (crypto::aesniAvailable() ? "true" : "false");
-        char buf[64];
-        for (const auto &[key, v] : results) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            os << ",\n  \"" << key << "\": " << buf;
-        }
+        for (const auto &[key, v] : results)
+            os << ",\n  \"" << key << "\": " << bench::jsonNum(v);
         os << "\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI regression gate ---

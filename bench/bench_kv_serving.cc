@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <locale>
 #include <memory>
 #include <sstream>
@@ -289,11 +288,6 @@ main(int argc, char **argv)
     {
         std::ostringstream os;
         os.imbue(std::locale::classic());
-        char buf[64];
-        auto num = [&](double v) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            return std::string(buf);
-        };
         os << "{\n  \"bench\": \"kv_serving\",\n";
         os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
         os << "  \"sessions\": " << serve.sessions << ",\n";
@@ -301,7 +295,8 @@ main(int argc, char **argv)
         os << "  \"kv_ops\": " << serve.ops << ",\n";
         os << "  \"oram_txns\": "
            << base_stats.oramReads + base_stats.oramWrites << ",\n";
-        os << "  \"wall_seconds\": " << num(serve.wallSeconds) << ",\n";
+        os << "  \"wall_seconds\": " << bench::jsonNum(serve.wallSeconds)
+           << ",\n";
         os << "  \"period_cycles\": " << base.period() << ",\n";
         os << "  \"tokens_retired\": "
            << (serve.retired ? "true" : "false") << ",\n";
@@ -324,7 +319,8 @@ main(int argc, char **argv)
            << ", \"p99\": " << serve.putP99
            << ", \"p999\": " << serve.putP999 << "},\n";
         os << "  \"hit_rate\": "
-           << num(base_stats.hits + base_stats.misses == 0
+           << bench::jsonNum(
+                  base_stats.hits + base_stats.misses == 0
                       ? 0.0
                       : static_cast<double>(base_stats.hits) /
                             static_cast<double>(base_stats.hits +
@@ -338,13 +334,9 @@ main(int argc, char **argv)
            << ", \"exactly_periodic\": "
            << (mp_point.periodic ? "true" : "false")
            << ", \"payload_mismatches\": " << mp_point.mismatches
-           << ", \"wall_seconds\": " << num(mp_point.wallSeconds)
+           << ", \"wall_seconds\": " << bench::jsonNum(mp_point.wallSeconds)
            << "}\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI gate ---

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -195,26 +194,22 @@ main(int argc, char **argv)
         os << "  \"rate\": " << rate << ",\n";
         os << "  \"horizon_cycles\": " << horizon << ",\n";
         os << "  \"sweep\": [";
-        char buf[64];
-        auto num = [&](double v) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            return std::string(buf);
-        };
         for (std::size_t i = 0; i < points.size(); ++i) {
             const auto &p = points[i];
             os << (i ? ",\n    {" : "\n    {");
             os << "\"sessions\": " << p.sessions;
             os << ", \"completed\": " << p.completed;
             os << ", \"span_cycles\": " << p.span;
-            os << ", \"utilization\": " << num(p.utilization);
-            os << ", \"fairness_ratio\": " << num(p.fairness);
-            os << ", \"dummy_fraction\": " << num(p.dummyFraction);
+            os << ", \"utilization\": " << bench::jsonNum(p.utilization);
+            os << ", \"fairness_ratio\": " << bench::jsonNum(p.fairness);
+            os << ", \"dummy_fraction\": " << bench::jsonNum(p.dummyFraction);
             os << ", \"throughput_per_mcycle\": [";
             for (std::size_t s = 0; s < p.throughputPerMcycle.size(); ++s)
-                os << (s ? ", " : "") << num(p.throughputPerMcycle[s]);
+                os << (s ? ", " : "")
+                   << bench::jsonNum(p.throughputPerMcycle[s]);
             os << "], \"avg_latency\": [";
             for (std::size_t s = 0; s < p.avgLatency.size(); ++s)
-                os << (s ? ", " : "") << num(p.avgLatency[s]);
+                os << (s ? ", " : "") << bench::jsonNum(p.avgLatency[s]);
             os << "], \"max_latency\": [";
             for (std::size_t s = 0; s < p.maxLatency.size(); ++s)
                 os << (s ? ", " : "") << p.maxLatency[s];
@@ -227,11 +222,7 @@ main(int argc, char **argv)
             os << "]}";
         }
         os << "\n  ]\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI smoke gate ---

@@ -369,11 +369,6 @@ main(int argc, char **argv)
     {
         std::ostringstream os;
         os.imbue(std::locale::classic());
-        char buf[64];
-        auto num = [&](double v) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            return std::string(buf);
-        };
         os << "{\n  \"bench\": \"scheduler_scale\",\n";
         os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
         os << "  \"hardware_threads\": " << hw << ",\n";
@@ -381,10 +376,11 @@ main(int argc, char **argv)
         os << "  \"sessions\": " << sessions << ",\n";
         os << "  \"total_txns\": " << total_txns << ",\n";
         os << "  \"base_sessions\": " << kBaseSessions << ",\n";
-        os << "  \"base_ns_per_txn_median\": " << num(base_median)
+        os << "  \"base_ns_per_txn_median\": " << bench::jsonNum(base_median)
            << ",\n";
-        os << "  \"ns_per_txn_median\": " << num(wide_median) << ",\n";
-        os << "  \"dispatch_scaling\": " << num(scaling) << ",\n";
+        os << "  \"ns_per_txn_median\": " << bench::jsonNum(wide_median)
+           << ",\n";
+        os << "  \"dispatch_scaling\": " << bench::jsonNum(scaling) << ",\n";
         os << "  \"worker_csv_identical\": "
            << (identical ? "true" : "false") << ",\n";
         os << "  \"policy_envelope_identical\": "
@@ -397,8 +393,8 @@ main(int argc, char **argv)
             os << "\"engine\": \"" << p.engine << "\"";
             os << ", \"threads\": " << p.threads;
             os << ", \"served\": " << p.served;
-            os << ", \"wall_seconds\": " << num(p.wallSeconds);
-            os << ", \"txns_per_sec\": " << num(p.txnsPerSec);
+            os << ", \"wall_seconds\": " << bench::jsonNum(p.wallSeconds);
+            os << ", \"txns_per_sec\": " << bench::jsonNum(p.txnsPerSec);
             os << ", \"last_completion\": " << p.lastCompletion;
             os << "}";
         };
@@ -409,17 +405,13 @@ main(int argc, char **argv)
         os << "\"sessions\": " << smoke.sessions;
         os << ", \"txns\": " << smoke.txns;
         os << ", \"retired\": " << smoke.retired;
-        os << ", \"open_seconds\": " << num(smoke.openSeconds);
-        os << ", \"run_seconds\": " << num(smoke.runSeconds);
+        os << ", \"open_seconds\": " << bench::jsonNum(smoke.openSeconds);
+        os << ", \"run_seconds\": " << bench::jsonNum(smoke.runSeconds);
         os << ", \"open_rss_mb\": " << smoke.openRssKb / 1024;
         os << ", \"fence_final\": "
            << (smoke.fenceFinal ? "true" : "false");
         os << "}\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI gate ---

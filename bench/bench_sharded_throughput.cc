@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -316,11 +315,6 @@ main(int argc, char **argv)
         os << "  \"m1_stream_identical\": "
            << (m1_identical ? "true" : "false") << ",\n";
         os << "  \"sweep\": [";
-        char buf[64];
-        auto num = [&](double v) {
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-            return std::string(buf);
-        };
         for (std::size_t i = 0; i < points.size(); ++i) {
             const auto &p = points[i];
             os << (i ? ",\n    {" : "\n    {");
@@ -329,21 +323,17 @@ main(int argc, char **argv)
             os << ", \"completed\": " << p.completed;
             os << ", \"span_cycles\": " << p.span;
             os << ", \"throughput_per_mcycle\": "
-               << num(p.throughputPerMcycle);
-            os << ", \"scaling\": " << num(p.scaling);
-            os << ", \"fairness_ratio\": " << num(p.fairness);
-            os << ", \"min_shard_share\": " << num(p.minShardShare);
-            os << ", \"max_shard_share\": " << num(p.maxShardShare);
+               << bench::jsonNum(p.throughputPerMcycle);
+            os << ", \"scaling\": " << bench::jsonNum(p.scaling);
+            os << ", \"fairness_ratio\": " << bench::jsonNum(p.fairness);
+            os << ", \"min_shard_share\": " << bench::jsonNum(p.minShardShare);
+            os << ", \"max_shard_share\": " << bench::jsonNum(p.maxShardShare);
             os << ", \"max_shard_olat\": " << p.maxShardOlat;
             os << ", \"periodic\": " << (p.periodic ? "true" : "false");
             os << "}";
         }
         os << "\n  ]\n}\n";
-        std::ofstream f(json_path);
-        if (!f)
-            tcoram_fatal("cannot write ", json_path);
-        f << os.str();
-        std::printf("wrote %s\n", json_path.c_str());
+        bench::writeArtifact(json_path, os.str());
     }
 
     // --- CI gate ---

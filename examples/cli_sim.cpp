@@ -5,16 +5,21 @@
  * surface, optionally emits CSV.
  *
  * Usage examples:
- *   example_cli_sim --scheme dynamic --rates 4 --growth 4 --bench mcf
- *   example_cli_sim --scheme static --rate 300 --bench h264 --csv out.csv
- *   example_cli_sim --scheme dynamic --learner threshold --limit 16 \
- *                   --bench astar --insts 1000000
- *   example_cli_sim --list
+ *   cli_sim --scheme dynamic --rates 4 --growth 4 --bench mcf
+ *   cli_sim --scheme static --rate 300 --bench h264 --csv out.csv
+ *   cli_sim --scheme dynamic --learner threshold --limit 16 \
+ *           --bench astar --insts 1000000
+ *   cli_sim --list
+ *
+ * A flag outside kValueFlags/kSwitchFlags is rejected before any mode
+ * runs, so a mistyped or retired option cannot silently change what
+ * runs.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +34,6 @@
 #include "sim/report.hh"
 #include "sim/secure_processor.hh"
 #include "sim/stat_dump.hh"
-#include "timing/dispatch_policy.hh"
 #include "workload/spec_suite.hh"
 #include "workload/workload_source.hh"
 
@@ -59,8 +63,6 @@ usage()
         "                         eviction (needs async)      [off]\n"
         "  --eviction-budget <n>  max deferred write-backs    [64]\n"
         "  --shards <m>           ORAM subtree shards         [1]\n"
-        "  --dispatch-policy <rr|wrr|edf>  scheduler QoS      [rr]\n"
-        "  --threads <n>          scheduler workers (0=shards) [1]\n"
         "  --memory-backend <flat|banked|trace>               [scheme's]\n"
         "  --fault-spec <s>       fault injection, e.g. flip@1e-4 or\n"
         "                         all@1e-3#7                  [none]\n"
@@ -91,8 +93,51 @@ usage()
         "                         depth (implies --eviction-policy\n"
         "                         highwater --dram-mode async; replays\n"
         "                         apply it, kv reports it)\n"
-        "  (honors --shards, --rate, --seed; --threads applies to kv\n"
-        "   only; replays also honor --checkpoint-path)\n");
+        "  --threads <n>          kv scheduler workers        [1]\n"
+        "  (honors --shards, --rate, --seed; replays also honor\n"
+        "   --checkpoint-path)\n");
+}
+
+/** Every flag that takes a value (the next argument). */
+constexpr const char *kValueFlags[] = {
+    "--scheme",          "--bench",           "--rate",
+    "--rates",           "--growth",          "--learner",
+    "--limit",           "--insts",           "--warmup",
+    "--llc",             "--crypto-backend",  "--oram-device",
+    "--dram-mode",       "--eviction-policy", "--eviction-budget",
+    "--shards",          "--memory-backend",  "--fault-spec",
+    "--retry-budget",    "--seed",            "--csv",
+    "--checkpoint-every", "--checkpoint-path", "--restore-from",
+    "--workload",        "--threads",
+};
+
+/** Every flag that stands alone. */
+constexpr const char *kSwitchFlags[] = {
+    "--help", "-h", "--list", "--list-backends", "--eviction-auto",
+};
+
+bool
+inTable(const char *flag, std::span<const char *const> table)
+{
+    for (const char *known : table)
+        if (std::strcmp(flag, known) == 0)
+            return true;
+    return false;
+}
+
+/** Fatal on the first argument that is not a known flag (or the value
+ *  of a known value flag), and on a value flag given no value. */
+void
+rejectUnknownFlags(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (inTable(argv[i], kSwitchFlags))
+            continue;
+        if (!inTable(argv[i], kValueFlags))
+            tcoram_fatal("unknown flag: ", argv[i], " (see --help)");
+        if (++i == argc)
+            tcoram_fatal("flag ", argv[i - 1], " needs a value");
+    }
 }
 
 const char *
@@ -119,6 +164,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
+    rejectUnknownFlags(argc, argv);
     if (has(argc, argv, "--help") || has(argc, argv, "-h")) {
         usage();
         return 0;
@@ -144,9 +190,6 @@ main(int argc, char **argv)
                     " (background eviction; non-off needs"
                     " --dram-mode async)",
                     oram::evictionPolicyNames());
-        std::printf("\ndispatch policies:");
-        for (const auto &k : timing::dispatchPolicyNames())
-            std::printf(" %s", k.c_str());
         std::printf("\nfault kinds: flip stuck delay refuse"
                     " (spec \"<kinds>@<rate>[#seed]\"; the faulty"
                     " backend wraps any inner as faulty:<inner>)");
@@ -404,11 +447,6 @@ main(int argc, char **argv)
     if (const char *shards = arg(argc, argv, "--shards", nullptr))
         cfg.oramShards = static_cast<std::uint32_t>(
             std::strtoul(shards, nullptr, 10));
-    if (const char *policy = arg(argc, argv, "--dispatch-policy", nullptr))
-        cfg.dispatchPolicy = policy;
-    if (const char *threads = arg(argc, argv, "--threads", nullptr))
-        cfg.schedulerThreads = static_cast<std::uint32_t>(
-            std::strtoul(threads, nullptr, 10));
     if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr))
         cfg.evictionPolicy = ep;
     if (const char *eb = arg(argc, argv, "--eviction-budget", nullptr))
@@ -416,8 +454,6 @@ main(int argc, char **argv)
             std::strtoul(eb, nullptr, 10));
     // Validate now so a bad knob fails fast, naming the config — the
     // dramModeKind() discipline.
-    (void)cfg.dispatchPolicyKind();
-    (void)cfg.schedulerThreadCount();
     (void)cfg.evictionPolicyKind();
     (void)cfg.evictionBudgetValue();
     if (const char *mb = arg(argc, argv, "--memory-backend", nullptr))

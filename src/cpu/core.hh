@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "workload/generators.hh"
 

@@ -8,11 +8,9 @@
 #ifndef TCORAM_SIM_EXPERIMENT_HH
 #define TCORAM_SIM_EXPERIMENT_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/column_batch.hh"
 #include "sim/sim_result.hh"
 #include "sim/system_config.hh"
 #include "workload/profile.hh"
@@ -41,15 +39,6 @@ struct Grid
     std::vector<SystemConfig> configs;
     std::vector<workload::Profile> workloads;
     std::vector<std::vector<SimResult>> results;
-
-    /**
-     * Columnar stat plane (sim/column_batch.hh): grid workers record
-     * each cell's result as raw typed values while running; toCsv()
-     * serializes these instead of re-formatting per row. Null for
-     * grids built without the engine (hand-assembled in tests) —
-     * toCsv() then falls back to the per-row path, byte-identically.
-     */
-    std::shared_ptr<const ColumnBatch> columns;
 
     const SimResult &at(std::size_t c, std::size_t w) const
     {

@@ -1,6 +1,7 @@
 #include "sim/recovery_run.hh"
 
 #include <algorithm>
+#include <locale>
 #include <sstream>
 
 #include "common/log.hh"
@@ -318,6 +319,7 @@ std::string
 RecoveryRun::csvRow() const
 {
     std::ostringstream os;
+    os.imbue(std::locale::classic());
     os << cfg_.deviceKind << ',' << cfg_.shards << ',' << cfg_.sessions
        << ',' << backlogTotal() << ',' << cfg_.rate << ','
        << (cfg_.fault.enabled() ? cfg_.fault.toString() : "none") << ','

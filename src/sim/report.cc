@@ -46,59 +46,9 @@ csvRow(const SimResult &r)
     return os.str();
 }
 
-ColumnSchema
-resultSchema()
-{
-    using enum ColumnType;
-    return {{{"config", Str},
-             {"workload", Str},
-             {"instructions", U64},
-             {"cycles", U64},
-             {"ipc", F64},
-             {"watts", F64},
-             {"on_chip_watts", F64},
-             {"llc_misses", U64},
-             {"oram_real", U64},
-             {"oram_dummy", U64},
-             {"dummy_fraction", F64},
-             {"oram_latency", U64},
-             {"oram_bytes_per_access", U64},
-             {"epochs_used", U64},
-             {"sim_leakage_bits", F64},
-             {"paper_leakage_bits", F64}}};
-}
-
-void
-appendResult(ColumnChunk &chunk, std::uint64_t order_key, const SimResult &r)
-{
-    chunk.beginRow(order_key);
-    chunk.str(r.configName);
-    chunk.str(r.workloadName);
-    chunk.u64(r.instructions);
-    chunk.u64(r.cycles);
-    chunk.f64(r.ipc);
-    chunk.f64(r.watts);
-    chunk.f64(r.onChipWatts);
-    chunk.u64(r.llcMisses);
-    chunk.u64(r.oramReal);
-    chunk.u64(r.oramDummy);
-    chunk.f64(r.dummyFraction());
-    chunk.u64(r.oramLatency);
-    chunk.u64(r.oramBytesPerAccess);
-    chunk.u64(r.epochsUsed);
-    chunk.f64(r.simLeakageBits);
-    chunk.f64(r.paperLeakageBits);
-    chunk.endRow();
-}
-
 std::string
 toCsv(const Grid &grid)
 {
-    // The engine-built columnar plane serializes the same bytes the
-    // per-row path would (sorted by cell order key); hand-assembled
-    // grids take the per-row path.
-    if (grid.columns != nullptr)
-        return grid.columns->csv();
     std::ostringstream os = classicStream();
     os << csvHeader() << '\n';
     for (const auto &per_config : grid.results)

@@ -51,10 +51,6 @@ RingScheduler::RingScheduler(oram::ShardedOramDevice &device,
     const unsigned cap = static_cast<unsigned>(
         std::max<std::size_t>(opts_.lanes, shards));
     workers_ = std::clamp<unsigned>(opts_.threads, 1, cap);
-
-    if (opts_.recordShardTelemetry)
-        telemetry_ =
-            std::make_unique<ColumnBatch>(shardTelemetrySchema(), workers_);
 }
 
 RingScheduler::~RingScheduler() = default;
@@ -216,7 +212,6 @@ RingScheduler::shardStep(unsigned worker)
         // hand the transition to the serial step. Once a serveUpTo()
         // budget is spent, the shard still pays the recovery slots its
         // last serve owes, so the stop leaves every stream settled.
-        const std::uint64_t before = servedPerShard_[s];
         timing::ShardSlot::Served out;
         while (budget_ != 0) {
             const auto status = slot.serve(out);
@@ -235,20 +230,6 @@ RingScheduler::shardStep(unsigned worker)
         }
         if (budget_ == 0 && !slot.enforcer().payOwedSlots())
             blocked_[s] = 1;
-        // Telemetry: raw typed values into this worker's own chunk —
-        // the shard's owner is fixed for the whole run, and the
-        // (round, shard) order key makes serialization order (hence
-        // bytes) independent of the ownership mapping.
-        if (telemetry_ != nullptr && servedPerShard_[s] != before) {
-            ColumnChunk &chunk = telemetry_->chunk(worker);
-            chunk.beginRow(round_ * slots_.size() + s);
-            chunk.u64(round_);
-            chunk.u64(s);
-            chunk.u64(servedPerShard_[s] - before);
-            chunk.u64(servedPerShard_[s]);
-            chunk.u64(slot.enforcer().lastCompletion());
-            chunk.endRow();
-        }
     }
 }
 
@@ -259,8 +240,7 @@ RingScheduler::serialStep()
     // consult the shared LeakageMonitor, so they are applied here, one
     // thread, in shard-id order — the same ledger order whatever the
     // worker count.
-    ++round_; // every phase-S pass before the NEXT serial step sees a
-              // fresh telemetry order-key digit, draining included
+    ++round_;
     bool transitioned = false;
     for (std::size_t s = 0; s < slots_.size(); ++s) {
         if (blocked_[s]) {
@@ -585,25 +565,6 @@ RingScheduler::csv() const
     for (std::uint32_t s = 0; s < slots_.size(); ++s)
         os << csvRow(s) << '\n';
     return os.str();
-}
-
-ColumnSchema
-RingScheduler::shardTelemetrySchema()
-{
-    using enum ColumnType;
-    return {{{"round", U64},
-             {"shard", U64},
-             {"served", U64},
-             {"served_total", U64},
-             {"last_completion", U64}}};
-}
-
-std::string
-RingScheduler::telemetryCsv() const
-{
-    tcoram_assert(telemetry_ != nullptr,
-                  "telemetryCsv requires Options::recordShardTelemetry");
-    return telemetry_->csv();
 }
 
 } // namespace tcoram::sim

@@ -71,7 +71,6 @@
 
 #include "oram/sharded_device.hh"
 #include "protocol/session.hh"
-#include "sim/column_batch.hh"
 #include "sim/session_ring.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/shard_slot.hh"
@@ -133,15 +132,6 @@ class RingScheduler
         /** Keep per-completion latency samples (percentiles). Off for
          *  the million-session smoke, where samples would dominate. */
         bool recordLatencies = true;
-        /**
-         * Record one columnar telemetry row per (round, shard) that
-         * served work (sim/column_batch.hh): appended lock-free by the
-         * shard's owning worker as raw typed values — no formatting on
-         * the dispatch path — and serialized by telemetryCsv() in
-         * (round, shard) order, bit-identical across worker counts.
-         * Off by default (rounds can vastly outnumber useful samples).
-         */
-        bool recordShardTelemetry = false;
     };
 
     /**
@@ -251,7 +241,7 @@ class RingScheduler
      * popped its completions). The device array is checkpointed
      * separately by the run harness. Restore requires a scheduler
      * built with the identical configuration and the same sessions
-     * already opened (asserted). Telemetry rows are not carried.
+     * already opened (asserted).
      */
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);
@@ -261,14 +251,6 @@ class RingScheduler
     static std::string csvHeader();
     std::string csvRow(std::uint32_t shard) const;
     std::string csv() const;
-
-    /** Column layout of the per-(round, shard) telemetry rows. */
-    static ColumnSchema shardTelemetrySchema();
-    /** Recorded rows (null unless Options::recordShardTelemetry). */
-    const ColumnBatch *telemetry() const { return telemetry_.get(); }
-    /** Serialized telemetry, (round, shard)-ordered (fatal when the
-     *  option is off). */
-    std::string telemetryCsv() const;
 
   private:
     struct SessionDescriptor
@@ -312,11 +294,8 @@ class RingScheduler
     std::vector<std::vector<std::vector<SessionRing::Completion>>> buckets_;
     std::vector<std::uint8_t> blocked_; ///< per shard, cleared serially
     std::vector<std::uint64_t> servedPerShard_;
-    /** Columnar shard telemetry: one chunk per worker, appended only
-     *  by the shard's owner in phase S (lock-free by ownership). */
-    std::unique_ptr<ColumnBatch> telemetry_;
-    /** Round counter (incremented in the serial step; read by phase S
-     *  across the barrier) — the telemetry order key's major digit. */
+    /** Rounds completed (incremented in the serial step); carried in
+     *  the checkpoint. */
     std::uint64_t round_ = 0;
     bool anyServed_ = false;
     mutable std::vector<Cycles> latencyScratch_; ///< percentile reuse

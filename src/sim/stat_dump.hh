@@ -1,7 +1,7 @@
 /**
  * @file
- * Named-scalar export of a SimResult (gem5-style stats dump), for
- * regression tracking and ad-hoc inspection.
+ * Named-scalar export of the KV-serving counters (gem5-style stats
+ * dump), for regression tracking and ad-hoc inspection.
  */
 
 #ifndef TCORAM_SIM_STAT_DUMP_HH
@@ -12,12 +12,8 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/kv_backend.hh"
-#include "sim/sim_result.hh"
 
 namespace tcoram::sim {
-
-/** Flatten a result record into a named-scalar StatDump. */
-StatDump toStatDump(const SimResult &r);
 
 /**
  * Flatten KV-serving counters into kv.* keys (hit/miss, spill
@@ -28,9 +24,8 @@ StatDump toStatDump(const SimResult &r);
 StatDump toStatDump(const KVStats &s, Cycles get_p99 = 0,
                     Cycles put_p99 = 0);
 
-/** The kv.* dump rendered through the columnar stat plane
- *  (sim/column_batch.hh): one (stat, value) row per key, emitted in
- *  key order with byte-stable classic-locale formatting. */
+/** The kv.* dump as CSV: a "stat,value" header, then one row per key
+ *  in key order, with byte-stable classic-locale formatting. */
 std::string kvStatsCsv(const KVStats &s, Cycles get_p99 = 0,
                        Cycles put_p99 = 0);
 

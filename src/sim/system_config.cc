@@ -186,30 +186,6 @@ SystemConfig::evictionAutoBudget() const
     return workload::observedBurstDepth(params, kMaxEvictionBudget);
 }
 
-timing::DispatchPolicyKind
-SystemConfig::dispatchPolicyKind() const
-{
-    if (dispatchPolicy.empty())
-        return timing::DispatchPolicyKind::RoundRobin;
-    const auto kind = timing::parseDispatchPolicy(dispatchPolicy);
-    if (!kind) {
-        tcoram_fatal("config '", name, "': unknown dispatchPolicy \"",
-                     dispatchPolicy, "\" (known: ",
-                     joinNames(timing::dispatchPolicyNames()), ")");
-    }
-    return *kind;
-}
-
-std::uint32_t
-SystemConfig::schedulerThreadCount() const
-{
-    if (schedulerThreads > kMaxSchedulerThreads) {
-        tcoram_fatal("config '", name, "': schedulerThreads must be in [0, ",
-                     kMaxSchedulerThreads, "], got ", schedulerThreads);
-    }
-    return schedulerThreads == 0 ? shardCount() : schedulerThreads;
-}
-
 SystemConfig
 SystemConfig::baseDram()
 {

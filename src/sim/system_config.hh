@@ -19,7 +19,6 @@
 #include "dram/backend_registry.hh"
 #include "oram/oram_config.hh"
 #include "oram/oram_controller.hh"
-#include "timing/dispatch_policy.hh"
 #include "timing/rate_learner.hh"
 
 namespace tcoram::workload {
@@ -213,33 +212,6 @@ struct SystemConfig
      *  kMaxEvictionBudget, naming the config). */
     std::uint32_t evictionBudgetValue() const;
     static constexpr std::uint32_t kMaxEvictionBudget = 1u << 20;
-
-    /**
-     * QoS dispatch policy of the scaled scheduler's ShardSlots
-     * (timing/dispatch_policy.hh): "rr" (round-robin, default), "wrr"
-     * (weighted round-robin) or "edf" (earliest deadline first). A
-     * policy only picks WHICH eligible session rides a shard's next
-     * enforced slot — it cannot shift any shard's observable stream.
-     * Empty selects "rr".
-     */
-    std::string dispatchPolicy;
-
-    /** Resolved policy (fatal on an unknown dispatchPolicy, naming the
-     *  config). */
-    timing::DispatchPolicyKind dispatchPolicyKind() const;
-
-    /**
-     * Worker threads of the scaled scheduler (sim/shard_worker.hh).
-     * 0 = one worker per shard; otherwise clamped to the shard count
-     * at run time. Purely a wall-clock knob: the phased-round barrier
-     * discipline keeps every thread count bit-identical.
-     */
-    std::uint32_t schedulerThreads = 1;
-
-    /** Validated thread knob (fatal above kMaxSchedulerThreads,
-     *  naming the config). */
-    std::uint32_t schedulerThreadCount() const;
-    static constexpr std::uint32_t kMaxSchedulerThreads = 256;
 
     /**
      * Bucket-crypto engine backend for functional ORAM components

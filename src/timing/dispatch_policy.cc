@@ -158,24 +158,6 @@ dispatchPolicyName(DispatchPolicyKind kind)
     tcoram_panic("unknown dispatch policy kind");
 }
 
-std::vector<std::string>
-dispatchPolicyNames()
-{
-    return {"rr", "wrr", "edf"};
-}
-
-std::optional<DispatchPolicyKind>
-parseDispatchPolicy(std::string_view name)
-{
-    if (name == "rr")
-        return DispatchPolicyKind::RoundRobin;
-    if (name == "wrr")
-        return DispatchPolicyKind::WeightedRoundRobin;
-    if (name == "edf")
-        return DispatchPolicyKind::EarliestDeadline;
-    return std::nullopt;
-}
-
 std::unique_ptr<DispatchPolicy>
 makeDispatchPolicy(DispatchPolicyKind kind)
 {

@@ -26,10 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/serial.hh"
 #include "common/types.hh"
@@ -43,14 +39,8 @@ enum class DispatchPolicyKind
     EarliestDeadline,   ///< "edf": min (headArrival + deadline offset)
 };
 
-/** CLI name of a policy kind ("rr", "wrr", "edf"). */
+/** Short name of a policy kind ("rr", "wrr", "edf"). */
 const char *dispatchPolicyName(DispatchPolicyKind kind);
-
-/** All CLI names, for --list-backends and error messages. */
-std::vector<std::string> dispatchPolicyNames();
-
-/** Parse a CLI name; nullopt when unknown. */
-std::optional<DispatchPolicyKind> parseDispatchPolicy(std::string_view name);
 
 /** Read-only view of one shard's pending sessions, in RR scan order. */
 class DispatchView

@@ -566,6 +566,8 @@ TEST(ExperimentEngine, ThreadCountDoesNotChangeResults)
     for (std::size_t c = 0; c < configs.size(); ++c)
         for (std::size_t w = 0; w < profs.size(); ++w)
             expectSameResult(serial.at(c, w), parallel.at(c, w));
+    // The grid CSV is the same bytes at any thread count.
+    EXPECT_EQ(sim::toCsv(serial), sim::toCsv(parallel));
 }
 
 TEST(ExperimentEngine, BaseOramLeakageAccountingIsThreadSafe)

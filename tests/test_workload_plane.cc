@@ -812,7 +812,7 @@ TEST(SystemConfigWorkloadDeath, AutoTuneNeedsHighwater)
     EXPECT_DEATH({ auto b = cfg.evictionAutoBudget(); }, "highwater");
 }
 
-TEST(StatDumpKv, ExportsKvKeysThroughTheColumnPlane)
+TEST(StatDumpKv, ExportsKvKeysAsPinnedCsv)
 {
     sim::KVStats s;
     s.gets = 10;
@@ -828,10 +828,25 @@ TEST(StatDumpKv, ExportsKvKeysThroughTheColumnPlane)
     EXPECT_EQ(d.get("kv.put_p99_cycles"), 5678.0);
     EXPECT_TRUE(d.has("kv.spill_blocks_read"));
 
-    const std::string csv = sim::kvStatsCsv(s, 1234, 5678);
-    EXPECT_EQ(csv.rfind("stat,value\n", 0), 0u);
-    EXPECT_NE(csv.find("kv.gets,10"), std::string::npos);
-    EXPECT_NE(csv.find("kv.hit_rate,0.6"), std::string::npos);
-    // Byte-stable: rendering twice is identical.
-    EXPECT_EQ(csv, sim::kvStatsCsv(s, 1234, 5678));
+    // Pinned bytes: key order, classic-locale numbers, 6 significant
+    // digits.
+    EXPECT_EQ(sim::kvStatsCsv(s, 1234, 5678),
+              "stat,value\n"
+              "kv.failed_puts,0\n"
+              "kv.get_p99_cycles,1234\n"
+              "kv.gets,10\n"
+              "kv.hit_rate,0.6\n"
+              "kv.hits,6\n"
+              "kv.inserts,0\n"
+              "kv.misses,4\n"
+              "kv.oram_reads,0\n"
+              "kv.oram_writes,0\n"
+              "kv.probes,14\n"
+              "kv.probes_per_op,1.07692\n"
+              "kv.put_p99_cycles,5678\n"
+              "kv.puts,3\n"
+              "kv.scans,0\n"
+              "kv.spill_blocks_read,5\n"
+              "kv.spill_blocks_written,0\n"
+              "kv.updates,0\n");
 }
